@@ -22,10 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .bounds import BoundValue, mode_bound_from_critical, upper_bound
-from .mixture import Mixture, affine_rank, reduce_homoscedastic
+from .mixture import Mixture, affine_rank, logsumexp, reduce_homoscedastic
 
 __all__ = [
     "ReducedSystem",
@@ -46,6 +45,10 @@ __all__ = [
 ]
 
 THREADS_ENV_VAR = "MODECOUNT_THREADS"
+
+# First rung of each block of the Newton line-search ladder; the last block
+# runs to `SolverConfig.max_halvings`.
+_LADDER_EDGES = (0, 1, 2, 4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -269,6 +272,10 @@ class _LogSolver:
     log-ratios never materialize as exponentials.  All starts iterate
     together with batched linear algebra; each start carries its own
     line-search state and drops out on convergence or failure.
+
+    Every reduction runs along one row (einsum rather than BLAS matmul, whose
+    rounding depends on the batch shape), so a row's residual, and hence its
+    Newton path, does not depend on which other rows share its batch.
     """
 
     def __init__(self, sys: ReducedSystem):
@@ -284,7 +291,7 @@ class _LogSolver:
         logits = np.concatenate([np.zeros((u.shape[0], 1)), u], axis=1)
         w = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
         m_mat = np.einsum("bk,kij->bij", w, self.precisions)
-        nu = w @ self.pmeans
+        nu = np.einsum("bk,ki->bi", w, self.pmeans)
         x = np.linalg.solve(m_mat, nu[..., None])[..., 0]
         return x, w, m_mat
 
@@ -296,7 +303,7 @@ class _LogSolver:
         sys = self.sys
         q = (
             0.5 * np.einsum("bi,kij,bj->bk", x, sys.quad, x)
-            + x @ sys.lin.T
+            + np.einsum("bi,ki->bk", x, sys.lin)
             + sys.const
         )
         return sys.log_betas + q
@@ -329,6 +336,7 @@ class _LogSolver:
         if np.any(finite):
             norms[finite] = np.linalg.norm(self.residual_batch(u[finite]), axis=1)
         active = np.isfinite(norms) & (norms > self._row_tols(u, config.newton_tol))
+        edges = [e for e in _LADDER_EDGES if e < config.max_halvings] + [config.max_halvings]
 
         for _ in range(config.newton_max_iter):
             if not np.any(active):
@@ -349,19 +357,26 @@ class _LogSolver:
 
             pending = idx[good]
             steps = steps[good]
-            scale = np.ones(len(pending))
-            for _ in range(config.max_halvings):
+            # Halving ladder: rung j tries the step scaled by 2^-j, and a row
+            # takes its first improving rung.  The rungs are evaluated in
+            # blocks of doubling length, one stacked residual call per block,
+            # which accepts exactly what trying them one at a time would.
+            for lo, hi in zip(edges[:-1], edges[1:]):
                 if not len(pending):
                     break
-                cand = u[pending] + scale[:, None] * steps
-                cand_norms = np.linalg.norm(self.residual_batch(cand), axis=1)
-                better = np.isfinite(cand_norms) & (cand_norms < norms[pending])
-                accepted = pending[better]
-                u[accepted] = cand[better]
-                norms[accepted] = cand_norms[better]
-                pending = pending[~better]
-                steps = steps[~better]
-                scale = scale[~better] * 0.5
+                scales = np.ldexp(1.0, -np.arange(lo, hi))
+                cand = u[pending][:, None, :] + scales[None, :, None] * steps[:, None, :]
+                cand_norms = np.linalg.norm(
+                    self.residual_batch(cand.reshape(-1, u.shape[1])), axis=1
+                ).reshape(len(pending), hi - lo)
+                better = np.isfinite(cand_norms) & (cand_norms < norms[pending][:, None])
+                hit = better.any(axis=1)
+                rows = np.flatnonzero(hit)
+                rung = better[rows].argmax(axis=1)
+                u[pending[rows]] = cand[rows, rung]
+                norms[pending[rows]] = cand_norms[rows, rung]
+                pending = pending[~hit]
+                steps = steps[~hit]
             active[pending] = False          # no improving step: give up on these
             active &= norms > self._row_tols(u, config.newton_tol)
 
@@ -483,30 +498,30 @@ def _polish_mean_shift(mixture: Mixture, x: np.ndarray, config: SolverConfig) ->
     with the log-density Hessian converges quadratically from any nearby
     nondegenerate critical point.
     """
-    def resid(p: np.ndarray) -> float:
-        _, rel_grad, _ = mixture.relative_derivatives(p)
-        return float(np.linalg.norm(rel_grad))
+    def resid(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        # the gradient norm, plus the derivatives a Newton step from p needs
+        _, rel_grad, rel_hess = mixture.relative_derivatives(p)
+        return float(np.linalg.norm(rel_grad)), rel_grad, rel_hess
 
-    best, best_res = x, resid(x)
+    best, (best_res, best_g, best_h) = x, resid(x)
     current = x
     for _ in range(config.polish_max_iter):
         nxt = mean_shift_step(mixture, current)
         if not np.all(np.isfinite(nxt)):
             break
-        res = resid(nxt)
+        res, g, h = resid(nxt)
         if res < best_res:
-            best, best_res = nxt, res
+            best, best_res, best_g, best_h = nxt, res, g, h
         if np.linalg.norm(nxt - current) <= 1e-16 * (1.0 + np.linalg.norm(current)):
             break
         if res > 10.0 * best_res:
             break
         current = nxt
 
-    current, res = best, best_res
+    current, res, g, h = best, best_res, best_g, best_h
     for _ in range(8):
         if res <= 1e-15:
             break
-        _, g, h = mixture.relative_derivatives(current)
         jac = h - np.outer(g, g)                 # Hessian of log density
         try:
             step = np.linalg.solve(jac, -g)
@@ -517,9 +532,9 @@ def _polish_mean_shift(mixture: Mixture, x: np.ndarray, config: SolverConfig) ->
         scale, improved = 1.0, False
         for _ in range(20):
             cand = current + scale * step
-            cand_res = resid(cand)
+            cand_res, cand_g, cand_h = resid(cand)
             if np.isfinite(cand_res) and cand_res < res:
-                current, res, improved = cand, cand_res, True
+                current, res, g, h, improved = cand, cand_res, cand_g, cand_h, True
                 break
             scale *= 0.5
         if not improved:
@@ -739,13 +754,26 @@ def classify(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None
 
 
 def _cluster_representatives(candidates: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Greedy relative-tolerance clustering; one representative per cluster."""
-    reps: list[np.ndarray] = []
-    for idx in sorted(range(len(candidates)), key=lambda i: tuple(candidates[i])):
-        x = candidates[idx]
-        if not any(np.linalg.norm(x - r) <= tol * (1.0 + np.linalg.norm(r)) for r in reps):
-            reps.append(x)
-    return reps
+    """Greedy relative-tolerance clustering; one representative per cluster.
+
+    Candidates are visited in lexicographic order, and each one becomes a
+    representative unless it lies within tol * (1 + |r|) of a representative
+    r chosen before it.
+    """
+    if not candidates:
+        return []
+    points = np.array(candidates)
+    order = np.lexsort(points.T[::-1])       # first coordinate is the primary key
+    reps = np.empty_like(points)
+    radii = np.empty(len(points))
+    n = 0
+    for x in points[order]:
+        if n and np.any(np.linalg.norm(reps[:n] - x, axis=1) <= radii[:n]):
+            continue
+        reps[n] = x
+        radii[n] = tol * (1.0 + np.linalg.norm(x))
+        n += 1
+    return list(reps[:n])
 
 
 def _dedup_points(

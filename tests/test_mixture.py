@@ -113,6 +113,34 @@ def test_log_density_survives_remote_points():
     assert np.all(np.isfinite(rel_grad)) and np.all(np.isfinite(rel_hess))
 
 
+def test_logsumexp_matches_scipy_bitwise():
+    # scipy.special.logsumexp is the oracle: same formula, same operation order
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    from modecount.mixture import logsumexp
+
+    def same(a, b):
+        return type(a) is type(b) and np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+    rng = np.random.default_rng(17)
+    for trial in range(2000):
+        n = int(rng.integers(1, 8))
+        spread = 10.0 ** rng.uniform(-3.0, 3.0)      # up to about 1e3
+        vec = rng.standard_normal(n) * spread
+        mat = rng.standard_normal((int(rng.integers(1, 6)), n)) * spread
+        if trial % 3 == 0:                          # ties at the maximum
+            vec[rng.integers(0, n, size=2)] = vec.max()
+            mat = np.round(mat)
+        result = logsumexp(vec)
+        assert np.ndim(result) == 0
+        assert same(result, scipy_logsumexp(vec)), vec
+        assert same(logsumexp(mat, axis=1, keepdims=True),
+                    scipy_logsumexp(mat, axis=1, keepdims=True)), mat
+        assert same(logsumexp(mat, axis=0), scipy_logsumexp(mat, axis=0)), mat
+    for edge in ([-np.inf, -np.inf], [np.inf, 0.0], [-np.inf, 3.0], [710.0, 710.0, 1.0]):
+        assert same(logsumexp(np.array(edge)), scipy_logsumexp(np.array(edge))), edge
+
+
 def test_responsibilities_sum_to_one():
     rng = np.random.default_rng(14)
     m = random_mixture(rng, 2, 4)

@@ -24,6 +24,8 @@ from modecount import (
     x_of_y,
 )
 
+from modecount.solver import _cluster_representatives, _LogSolver
+
 from conftest import random_mixture_1d, random_spd
 from test_acceptance import SWEEP_SEED
 
@@ -164,8 +166,8 @@ def test_augmented_residual_against_cofactor_oracle():
 def test_jacobian_singularity_tracks_hessian():
     # nondegenerate pair: regular Jacobian at each root
     m = pair_mixture_1d(2.0)
-    sys = build_reduced(m)
     report = find_critical_points(m)
+    sys = build_reduced(m, reference=report.reference)    # the chart of reduced_coords
     for p in report.points:
         assert abs(np.linalg.det(reduced_jacobian(sys, p.reduced_coords))) > 1e-3
     # means at +-1 with unit variance: the origin is a degenerate critical
@@ -176,6 +178,105 @@ def test_jacobian_singularity_tracks_hessian():
     assert abs(np.linalg.det(reduced_jacobian(sys_deg, y0))) < 1e-10
     _, _, rel_hess = m_deg.relative_derivatives(np.zeros(1))
     assert abs(rel_hess[0, 0]) < 1e-12
+
+
+# -- batched Newton in log-ratio coordinates ---------------------------------------
+
+
+def solve_batch_one_rung_at_a_time(solver, u0, config):
+    """Reference damped Newton whose line search tries one halving per call."""
+    u = np.array(u0, dtype=float)
+    norms = np.full(u.shape[0], np.inf)
+    finite = np.all(np.isfinite(u), axis=1)
+    if np.any(finite):
+        norms[finite] = np.linalg.norm(solver.residual_batch(u[finite]), axis=1)
+    active = np.isfinite(norms) & (norms > solver._row_tols(u, config.newton_tol))
+    for _ in range(config.newton_max_iter):
+        if not np.any(active):
+            break
+        idx = np.flatnonzero(active)
+        s, jac = solver.residual_and_jacobian_batch(u[idx])
+        steps = np.linalg.solve(jac, -s[..., None])[..., 0]
+        good = np.all(np.isfinite(steps), axis=1)
+        active[idx[~good]] = False
+        pending, steps = idx[good], steps[good]
+        scale = np.ones(len(pending))
+        for _ in range(config.max_halvings):
+            if not len(pending):
+                break
+            cand = u[pending] + scale[:, None] * steps
+            cand_norms = np.linalg.norm(solver.residual_batch(cand), axis=1)
+            better = np.isfinite(cand_norms) & (cand_norms < norms[pending])
+            u[pending[better]] = cand[better]
+            norms[pending[better]] = cand_norms[better]
+            pending, steps, scale = pending[~better], steps[~better], scale[~better] * 0.5
+        active[pending] = False
+        active &= norms > solver._row_tols(u, config.newton_tol)
+    converged = norms <= solver._row_tols(u, config.newton_tol)
+    return u[converged], int(np.count_nonzero(converged))
+
+
+def het_d6k5_solver(seed=41):
+    m = random_mixture(np.random.default_rng(seed), 6, 5)
+    return _LogSolver(build_reduced(m, reference=int(np.argmax(m.weights))))
+
+
+def test_residual_rows_do_not_depend_on_batch():
+    # BLAS matmul rounds a row differently with the number of rows beside it;
+    # the residual must not, or chunked and stacked solves drift apart
+    solver = het_d6k5_solver()
+    u = np.random.default_rng(42).uniform(-6.0, 6.0, size=(200, 4))
+    stacked = solver.residual_batch(u)
+    for i in range(len(u)):
+        assert np.array_equal(stacked[i], solver.residual_batch(u[i:i + 1])[0]), i
+    s, jac = solver.residual_and_jacobian_batch(u)
+    for i in (0, 77, 199):
+        s_i, jac_i = solver.residual_and_jacobian_batch(u[i:i + 1])
+        assert np.array_equal(s[i], s_i[0]) and np.array_equal(jac[i], jac_i[0])
+
+
+def test_blocked_ladder_matches_one_rung_at_a_time():
+    rng = np.random.default_rng(43)
+    # spreads chosen so that many rows halve deep into the ladder or give up
+    solvers = [
+        (het_d6k5_solver(), 8.0),
+        (_LogSolver(build_reduced(random_mixture(rng, 3, 3), reference=0)), 5.0),
+        (_LogSolver(build_reduced(random_mixture(rng, 1, 4), reference=0)), 5.0),
+    ]
+    for solver, spread in solvers:
+        u0 = rng.uniform(-spread, spread, size=(300, solver.sys.n_free))
+        for config in (SolverConfig(), SolverConfig(max_halvings=5), SolverConfig(max_halvings=0)):
+            roots, count = solver.solve_batch(u0, config)
+            ref_roots, ref_count = solve_batch_one_rung_at_a_time(solver, u0, config)
+            assert count == ref_count
+            assert np.array_equal(roots, ref_roots)
+
+
+def cluster_representatives_loop(candidates, tol):
+    """Reference greedy clustering: plain Python loop over representatives."""
+    reps = []
+    for idx in sorted(range(len(candidates)), key=lambda i: tuple(candidates[i])):
+        x = candidates[idx]
+        if not any(np.linalg.norm(x - r) <= tol * (1.0 + np.linalg.norm(r)) for r in reps):
+            reps.append(x)
+    return reps
+
+
+def test_cluster_representatives_matches_loop():
+    rng = np.random.default_rng(44)
+    assert _cluster_representatives([], 1e-6) == []
+    for _ in range(300):
+        d = int(rng.integers(1, 7))
+        centres = rng.uniform(-5.0, 5.0, size=(int(rng.integers(1, 8)), d))
+        n = int(rng.integers(1, 60))
+        pick = rng.integers(0, len(centres), size=n)
+        cloud = centres[pick] + rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-9.0, -4.0, size=(n, 1))
+        cloud[rng.random(n) < 0.1] = centres[0]                 # exact duplicates
+        candidates = list(cloud)
+        got = _cluster_representatives(candidates, 1e-6)
+        want = cluster_representatives_loop(candidates, 1e-6)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # -- critical point search ----------------------------------------------------------
