@@ -245,11 +245,61 @@ def test_blocked_ladder_matches_one_rung_at_a_time():
     ]
     for solver, spread in solvers:
         u0 = rng.uniform(-spread, spread, size=(300, solver.sys.n_free))
-        for config in (SolverConfig(), SolverConfig(max_halvings=5), SolverConfig(max_halvings=0)):
+        configs = (SolverConfig(), SolverConfig(max_halvings=60),
+                   SolverConfig(max_halvings=5), SolverConfig(max_halvings=0))
+        for config in configs:
             roots, count = solver.solve_batch(u0, config)
             ref_roots, ref_count = solve_batch_one_rung_at_a_time(solver, u0, config)
             assert count == ref_count
             assert np.array_equal(roots, ref_roots)
+
+
+def test_stalled_rows_give_up_after_one_ladder():
+    # rows that cannot lower |S| with 1/4096 of their Newton step sit in a
+    # local minimum of |S| that is not a root; the default cap drops them
+    # instead of letting them crawl through 60 rungs for 200 iterations
+    rng = np.random.default_rng(43)
+    u0 = rng.uniform(-8.0, 8.0, size=(300, 4))
+    rows = []
+    for config in (SolverConfig(), SolverConfig(max_halvings=60)):
+        solver = het_d6k5_solver()
+        inner = solver.residual_batch
+        count = [0]
+
+        def counted(u, inner=inner, count=count):
+            count[0] += len(u)
+            return inner(u)
+
+        solver.residual_batch = counted
+        roots, n = solver.solve_batch(u0, config)
+        rows.append(count[0])
+        assert n == len(roots) > 0
+        norms = np.linalg.norm(inner(roots), axis=1)
+        assert np.all(norms <= solver._row_tols(roots, config.newton_tol))
+    assert rows[0] <= rows[1] / 3
+
+
+def test_halving_cap_keeps_critical_set():
+    # the default cap drops stalled starts only: the first three instances
+    # lose converged starts against max_halvings=60, and all keep their
+    # critical set
+    rng = np.random.default_rng(SWEEP_SEED)
+    sweep = [random_mixture_1d(rng) for _ in range(79)]
+    instances = [
+        sweep[26],
+        sweep[78],
+        random_mixture(np.random.default_rng(47), 6, 6),
+        product(pair_mixture_1d(), pair_mixture_1d()),
+    ]
+    for m in instances:
+        capped = find_critical_points(m, SolverConfig())
+        deep = find_critical_points(m, SolverConfig(max_halvings=60))
+        assert capped.n_critical == deep.n_critical
+        assert capped.counts_by_index == deep.counts_by_index
+        assert capped.all_nondegenerate == deep.all_nondegenerate
+        a = np.array(sorted(tuple(p.location) for p in capped.points))
+        b = np.array(sorted(tuple(p.location) for p in deep.points))
+        assert np.max(np.abs(a - b)) <= 1e-9
 
 
 def cluster_representatives_loop(candidates, tol):
