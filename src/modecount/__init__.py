@@ -49,7 +49,6 @@ from .mixture import (
     Mixture,
     MixtureFormatError,
     affine_rank,
-    evaluate,
     mixture_from_dict,
     mixture_to_dict,
     read_mixture,
@@ -62,7 +61,6 @@ from .solver import (
     ReducedSystem,
     SolveReport,
     SolverConfig,
-    augmented_residual,
     build_reduced,
     classify,
     find_critical_points,
@@ -81,7 +79,7 @@ __all__ = [
     "__version__",
     # mixture core
     "GaussianComponent", "Mixture", "MixtureFormatError", "AffineMap",
-    "evaluate", "tilt", "affine_rank", "reduce_homoscedastic",
+    "tilt", "affine_rank", "reduce_homoscedastic",
     "mixture_from_dict", "mixture_to_dict", "read_mixture", "write_mixture",
     # bounds
     "BoundValue", "SeedTriple", "SeedRecipe",
@@ -92,7 +90,7 @@ __all__ = [
     # solver
     "ReducedSystem", "CriticalPoint", "SolveReport", "SolverConfig",
     "build_reduced", "x_of_y", "residual_R", "reduced_jacobian",
-    "augmented_residual", "mean_shift_step", "find_critical_points",
+    "mean_shift_step", "find_critical_points",
     "solve_reduced_homoscedastic", "classify", "polish_critical", "morse_check",
     # constructions
     "PaddingSpec", "PaddingError", "RecipeError", "RecipeVerificationError",

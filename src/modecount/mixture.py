@@ -20,7 +20,6 @@ __all__ = [
     "GaussianComponent",
     "Mixture",
     "AffineMap",
-    "evaluate",
     "tilt",
     "affine_rank",
     "reduce_homoscedastic",
@@ -292,11 +291,6 @@ class Mixture:
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def evaluate(mixture: Mixture, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Density, gradient and Hessian of `mixture` at `x`."""
-    return mixture.evaluate(x)
 
 
 def tilt(mixture: Mixture, c: np.ndarray) -> Mixture:

@@ -7,17 +7,16 @@ solves it with a deterministic multistart damped Newton iteration in
 log-coordinates, classifies the roots by Hessian inertia, and assembles a
 report with Morse-inequality and upper-bound verdicts.
 
-Everything downstream of `evaluate` works with density-relative quantities
-(responsibilities, gradient over density, Hessian over density), so the
-solver stays numerically meaningful even for witness mixtures whose
+Everything downstream of `relative_derivatives` works with density-relative
+quantities (responsibilities, gradient over density, Hessian over density),
+so the solver stays numerically meaningful even for witness mixtures whose
 components sit hundreds of standard deviations apart.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "x_of_y",
     "residual_R",
     "reduced_jacobian",
-    "augmented_residual",
     "mean_shift_step",
     "find_critical_points",
     "solve_reduced_homoscedastic",
@@ -42,8 +40,6 @@ __all__ = [
     "polish_critical",
     "morse_check",
 ]
-
-THREADS_ENV_VAR = "MODECOUNT_THREADS"
 
 # First rung of each block of the Newton line-search ladder; the last block
 # runs to `SolverConfig.max_halvings`.
@@ -82,35 +78,9 @@ class SolverConfig:
     max_dim: int = 6
     max_components: int = 6
     force: bool = False
-    threads: int | None = None
-
-    def effective_threads(self) -> int:
-        if self.threads is not None:
-            return max(1, int(self.threads))
-        env = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                pass
-        return 1
 
     def to_dict(self) -> dict:
-        return {
-            "lattice_subdivisions": self.lattice_subdivisions,
-            "newton_max_iter": self.newton_max_iter,
-            "newton_tol": self.newton_tol,
-            "max_halvings": self.max_halvings,
-            "mean_shift_max_iter": self.mean_shift_max_iter,
-            "polish_max_iter": self.polish_max_iter,
-            "dedup_tol": self.dedup_tol,
-            "degeneracy_tol": self.degeneracy_tol,
-            "grad_accept_tol": self.grad_accept_tol,
-            "max_dim": self.max_dim,
-            "max_components": self.max_components,
-            "force": self.force,
-            "threads": self.effective_threads(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -146,11 +116,6 @@ class ReducedSystem:
             + self.lin @ x
             + self.const
         )
-
-    def q_gradients(self, x: np.ndarray) -> np.ndarray:
-        """All grad q_i(x) as an (m, d) matrix."""
-        x = np.asarray(x, dtype=float)
-        return np.einsum("kij,j->ki", self.quad, x) + self.lin
 
     def log_rho(self, x: np.ndarray) -> np.ndarray:
         """log of the density ratios rho_i(x) against the reference."""
@@ -192,70 +157,42 @@ def build_reduced(mixture: Mixture, reference: int | None = None) -> ReducedSyst
     )
 
 
-def x_of_y(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
-    """The candidate critical point X(y) = M(y)^{-1} nu(y) for positive ratios y."""
+def _log_ratios(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive ratios y as floats, and u = log y as a one-row `_LogSolver` batch."""
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("ratios y must be strictly positive")
-    mix = sys.mixture
-    m_mat = mix.precisions[sys.reference].copy()
-    nu = mix.precisions[sys.reference] @ mix.means[sys.reference]
-    for yi, i in zip(y, sys.free):
-        m_mat += yi * mix.precisions[i]
-        nu += yi * (mix.precisions[i] @ mix.means[i])
-    return np.linalg.solve(m_mat, nu)
+    return y, np.log(y)[None]
+
+
+def x_of_y(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
+    """The candidate critical point X(y) = M(y)^{-1} nu(y) for positive ratios y."""
+    _, u = _log_ratios(y)
+    x, _, _ = _LogSolver(sys).x_batch(u)
+    return x[0]
 
 
 def residual_R(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
     """Componentwise residual R_i(y) = y_i - beta_i exp(q_i(X(y))).
 
-    Evaluated as y_i * (1 - exp(log rho_i(X(y)) - log y_i)), which is the
-    same real function assembled without overflowing intermediates.
+    Evaluated as -y_i expm1(-S_i(log y)) from the log-ratio residual S, which
+    is the same real function assembled without overflowing intermediates.
     """
-    y = np.asarray(y, dtype=float)
-    x = x_of_y(sys, y)
-    s = np.log(y) - sys.log_rho(x)
-    return -y * np.expm1(-s)
+    y, u = _log_ratios(y)
+    return -y * np.expm1(-_LogSolver(sys).residual_batch(u)[0])
 
 
 def reduced_jacobian(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
-    """Jacobian DR(y); its regularity matches the Hessian's at roots."""
-    y = np.asarray(y, dtype=float)
-    mix = sys.mixture
-    x = x_of_y(sys, y)
-    m_mat = mix.precisions[sys.reference].copy()
-    for yi, i in zip(y, sys.free):
-        m_mat += yi * mix.precisions[i]
-    # dX/dy_j = M(y)^{-1} A_j (mu_j - X)
-    cols = np.linalg.solve(m_mat, np.stack([
-        mix.precisions[j] @ (mix.means[j] - x) for j in sys.free
-    ], axis=1))
-    rho = np.exp(sys.log_rho(x))
-    grads = sys.q_gradients(x)
-    return np.eye(sys.n_free) - rho[:, None] * (grads @ cols)
+    """Jacobian DR(y); its regularity matches the Hessian's at roots.
 
-
-def augmented_residual(sys: ReducedSystem, y: np.ndarray, z: float) -> np.ndarray:
-    """Residual of the determinant-augmented system (E_0, ..., E_{k-1}).
-
-    E_0 = z det M(y) - 1, and E_i = y_i - beta_i exp(q_i(z N(y))) with
-    N(y) = adj(M(y)) nu(y); at z = 1 / det M(y) the tail coincides with
-    `residual_R`.
+    With rho = y exp(-S) the ratios at X(y), DR = I - diag(rho) (I - DS)
+    diag(1/y), where DS is the Jacobian of S in u = log y.
     """
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("ratios y must be strictly positive")
-    mix = sys.mixture
-    m_mat = mix.precisions[sys.reference].copy()
-    nu = mix.precisions[sys.reference] @ mix.means[sys.reference]
-    for yi, i in zip(y, sys.free):
-        m_mat += yi * mix.precisions[i]
-        nu += yi * (mix.precisions[i] @ mix.means[i])
-    det = float(np.linalg.det(m_mat))
-    adjugate_nu = det * np.linalg.solve(m_mat, nu)
-    e0 = z * det - 1.0
-    tail = y - np.exp(sys.log_betas + sys.q_values(z * adjugate_nu))
-    return np.concatenate(([e0], tail))
+    y, u = _log_ratios(y)
+    s, jac = _LogSolver(sys).residual_and_jacobian_batch(u)
+    eye = np.eye(sys.n_free)
+    rho = y * np.exp(-s[0])
+    return eye - rho[:, None] * (eye - jac[0]) / y[None, :]
 
 
 def mean_shift_step(mixture: Mixture, x: np.ndarray) -> np.ndarray:
@@ -760,66 +697,58 @@ def classify(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None
     return _classify_at(mixture, np.asarray(x, dtype=float), config, sys)
 
 
-def _cluster_representatives(candidates: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Greedy relative-tolerance clustering; one representative per cluster.
+def _cluster(candidates: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy relative-tolerance clustering.
 
-    Candidates are visited in lexicographic order, and each one becomes a
-    representative unless it lies within tol * (1 + |r|) of a representative
-    r chosen before it.
+    Candidates are visited in lexicographic order.  Each one joins the first
+    representative r chosen before it that lies within tol * (1 + |r|), and
+    otherwise becomes a representative itself.  Returns the representatives
+    as rows and, for each candidate, the index of its representative.
     """
-    if not candidates:
-        return []
-    points = np.array(candidates)
-    order = np.lexsort(points.T[::-1])       # first coordinate is the primary key
+    points = np.array(candidates, dtype=float)
+    labels = np.empty(len(points), dtype=int)
     reps = np.empty_like(points)
     radii = np.empty(len(points))
     n = 0
-    for x in points[order]:
-        if n and np.any(np.linalg.norm(reps[:n] - x, axis=1) <= radii[:n]):
+    for i in np.lexsort(points.T[::-1]):      # first coordinate is the primary key
+        x = points[i]
+        hits = np.flatnonzero(np.linalg.norm(reps[:n] - x, axis=1) <= radii[:n])
+        if len(hits):
+            labels[i] = hits[0]
             continue
         reps[n] = x
         radii[n] = tol * (1.0 + np.linalg.norm(x))
+        labels[i] = n
         n += 1
-    return list(reps[:n])
+    return reps[:n], labels
 
 
 def _dedup_points(
     candidates: list[np.ndarray], mixture: Mixture, config: SolverConfig, sys: ReducedSystem | None
 ) -> list[CriticalPoint]:
-    """Cluster near-identical locations, classify one representative each."""
+    """Cluster near-identical locations; keep each cluster's best-classified member.
+
+    The best member has the smallest gradient residual, the first in
+    lexicographic order on ties; `cluster_diameter` spans every member.
+    """
     if not candidates:
         return []
-    order = sorted(range(len(candidates)), key=lambda i: tuple(candidates[i]))
-    clusters: list[list[np.ndarray]] = []
-    for idx in order:
-        x = candidates[idx]
-        placed = False
-        for cluster in clusters:
-            rep = cluster[0]
-            if np.linalg.norm(x - rep) <= config.dedup_tol * (1.0 + np.linalg.norm(rep)):
-                cluster.append(x)
-                placed = True
-                break
-        if not placed:
-            clusters.append([x])
+    members = np.array(candidates)
+    members = members[np.lexsort(members.T[::-1])]      # so `min` keeps the first on ties
+    _, labels = _cluster(members, config.dedup_tol)
     points: list[CriticalPoint] = []
-    for cluster in clusters:
-        best: CriticalPoint | None = None
+    for label in range(labels.max() + 1):
+        cluster = members[labels == label]
+        classified = []
         for x in cluster:
             try:
-                cp = _classify_at(mixture, x, config, sys)
+                classified.append(_classify_at(mixture, x, config, sys))
             except ValueError:
-                continue
-            if best is None or cp.gradient_residual < best.gradient_residual:
-                best = cp
-        if best is None:
+                pass
+        if not classified:
             continue
-        diameter = 0.0
-        if len(cluster) > 1:
-            arr = np.stack(cluster)
-            diameter = float(
-                max(np.linalg.norm(a - b) for i, a in enumerate(arr) for b in arr[i + 1:])
-            ) if len(arr) > 1 else 0.0
+        best = min(classified, key=lambda cp: cp.gradient_residual)
+        diameter = float(np.linalg.norm(cluster[:, None] - cluster[None], axis=-1).max())
         points.append(replace(best, cluster_diameter=diameter))
     points.sort(key=lambda p: tuple(p.location))
     return points
@@ -857,14 +786,14 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     """
     config = config or SolverConfig()
     d, k = mixture.dim, mixture.n_components
+    if k == 1:
+        return _single_component_report(mixture, config)
     if (d > config.max_dim or k > config.max_components) and not config.force:
         raise ValueError(
             f"instance size d={d}, k={k} exceeds configured limits "
             f"(max_dim={config.max_dim}, max_components={config.max_components}); "
             "set force=True to override"
         )
-    if k == 1:
-        return _single_component_report(mixture, config)
 
     reference = int(np.argmax(mixture.weights))
     sys = build_reduced(mixture, reference=reference)
@@ -882,31 +811,17 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     starts.extend(sys.log_rho(p) for p in seed_points)
     u0 = np.array(starts)
 
-    threads = config.effective_threads()
-    if threads > 1 and len(starts) >= 2 * threads:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(u0, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: log_solver.solve_batch(c, config), chunks))
-        roots = np.concatenate([r[0] for r in results])
-        n_converged = sum(r[1] for r in results)
-    else:
-        roots, n_converged = log_solver.solve_batch(u0, config)
-
-    reps: list[np.ndarray] = []
-    if len(roots):
-        xs, _, _ = log_solver.x_batch(roots)
-        reps = _cluster_representatives(list(xs), config.dedup_tol)
+    roots, n_converged = log_solver.solve_batch(u0, config)
+    reps, _ = _cluster(log_solver.x_batch(roots)[0], config.dedup_tol)
     n_starts_total = len(starts)
 
     # Restart rounds: critical points missed by the lattice (tiny-responsibility
     # saddles between far-apart modes) sit on segments between found points, so
     # reseed Newton there until the set stops growing.
     for _ in range(5):
-        if not reps:
+        if not len(reps):
             break
-        anchors = reps + [m for m in mixture.means]
+        anchors = np.concatenate([reps, mixture.means])
         segment_starts = []
         for i in range(len(reps)):
             for j in range(i + 1, len(anchors)):
@@ -921,7 +836,7 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
         if not len(more_roots):
             break
         more_xs, _, _ = log_solver.x_batch(more_roots)
-        merged = _cluster_representatives(reps + list(more_xs), config.dedup_tol)
+        merged, _ = _cluster(np.concatenate([reps, more_xs]), config.dedup_tol)
         if len(merged) == len(reps):
             break
         reps = merged
@@ -988,11 +903,13 @@ def solve_reduced_homoscedastic(mixture: Mixture, config: SolverConfig | None = 
     r-dimensional unit-covariance mixture there, then maps the critical
     points back, polishes, and reclassifies them against the original
     density.  Counts and locations agree with the direct solve; this path
-    is cheaper when r is much smaller than d.
+    is cheaper when r is much smaller than d.  A single Gaussian, or a
+    mixture whose means all coincide (r = 0), has nothing to reduce and is
+    solved directly.  Heteroscedastic input raises ValueError.
     """
     config = config or SolverConfig()
-    if mixture.n_components == 1:
-        return _single_component_report(mixture, config)
+    if affine_rank(mixture.means) == 0 and mixture.is_homoscedastic():
+        return find_critical_points(mixture, config)
     amap, reduced, _ = reduce_homoscedastic(mixture)
     inner = find_critical_points(reduced, config)
     d, r = mixture.dim, reduced.dim

@@ -207,6 +207,17 @@ def test_solve_reduce_rank(capsys, tmp_path):
     assert direct["n_modes"] == reduced["n_modes"]
 
 
+def test_solve_reduce_rank_coincident_means(capsys, tmp_path):
+    m = Mixture.from_arrays([0.3, 0.7], [[1.0, 2.0], [1.0, 2.0]], shared_covariance=np.eye(2))
+    path = tmp_path / "coincident.json"
+    write_mixture(m, path)
+    code, out, err = run(capsys, ["solve", str(path), "--reduce-rank", "--output", "json"])
+    assert code == EXIT_OK, err
+    report = json.loads(out)["report"]
+    assert report["n_critical"] == report["n_modes"] == 1
+    assert report["hom_rank"] == 0
+
+
 # -- verify ------------------------------------------------------------------------
 
 

@@ -9,7 +9,6 @@ from scipy.stats import multivariate_normal
 from modecount import (
     Mixture,
     SolverConfig,
-    augmented_residual,
     build_reduced,
     classify,
     find_critical_points,
@@ -24,7 +23,7 @@ from modecount import (
     x_of_y,
 )
 
-from modecount.solver import _cluster_representatives, _LogSolver
+from modecount.solver import _cluster, _dedup_points, _LogSolver
 
 from conftest import random_mixture_1d, random_spd
 from test_acceptance import SWEEP_SEED
@@ -130,37 +129,22 @@ def test_reduced_jacobian_matches_finite_differences():
         assert np.abs(jac - fd).max() <= 1e-5 * scale
 
 
-def test_augmented_residual_against_cofactor_oracle():
+def test_residual_matches_q_values_at_x_of_y():
+    # residual_R runs through _LogSolver's batched log-ratio q; the plain
+    # formula runs through ReducedSystem.q_values
     rng = np.random.default_rng(33)
-    for d in (1, 2, 3):
-        m = random_mixture(rng, d, 3)
-        sys = build_reduced(m)
-        y = rng.uniform(0.3, 2.0, size=2)
-        z = float(rng.uniform(0.1, 2.0))
-        m_mat = m.precisions[sys.reference] + sum(
-            yi * m.precisions[i] for yi, i in zip(y, sys.free)
-        )
-        nu = m.precisions[sys.reference] @ m.means[sys.reference] + sum(
-            yi * (m.precisions[i] @ m.means[i]) for yi, i in zip(y, sys.free)
-        )
-        # adjugate by cofactor expansion
-        adj = np.zeros((d, d))
-        for i in range(d):
-            for j in range(d):
-                minor = np.delete(np.delete(m_mat, j, axis=0), i, axis=1)
-                adj[i, j] = (-1) ** (i + j) * (np.linalg.det(minor) if d > 1 else 1.0)
-        det = np.linalg.det(m_mat)
-        x_scaled = z * adj @ nu
-        oracle = np.concatenate((
-            [z * det - 1.0],
-            y - np.exp(sys.log_betas + sys.q_values(x_scaled)),
-        ))
-        got = augmented_residual(sys, y, z)
-        assert np.allclose(got, oracle, rtol=1e-9, atol=1e-9)
-        # at z = 1/det the slack vanishes and the tail is the plain residual
-        at_root = augmented_residual(sys, y, 1.0 / det)
-        assert abs(at_root[0]) <= 1e-12
-        assert np.allclose(at_root[1:], residual_R(sys, y), rtol=1e-9, atol=1e-12)
+    for _ in range(20):
+        d = int(rng.integers(1, 5))
+        k = int(rng.integers(2, 6))
+        m = random_mixture(rng, d, k)
+        sys = build_reduced(m, reference=int(rng.integers(0, k)))
+        y = rng.uniform(0.2, 5.0, size=sys.n_free)
+        plain = y - np.exp(sys.log_betas + sys.q_values(x_of_y(sys, y)))
+        assert np.allclose(residual_R(sys, y), plain, rtol=1e-10, atol=1e-12)
+    with pytest.raises(ValueError):
+        residual_R(sys, np.zeros(sys.n_free))
+    with pytest.raises(ValueError):
+        reduced_jacobian(sys, -np.ones(sys.n_free))
 
 
 def test_jacobian_singularity_tracks_hessian():
@@ -303,18 +287,27 @@ def test_halving_cap_keeps_critical_set():
 
 
 def cluster_representatives_loop(candidates, tol):
-    """Reference greedy clustering: plain Python loop over representatives."""
-    reps = []
+    """Reference greedy clustering: plain Python loop over representatives.
+
+    Returns the representatives and, for each candidate, the index of the
+    first representative within tolerance.
+    """
+    reps, labels = [], [None] * len(candidates)
     for idx in sorted(range(len(candidates)), key=lambda i: tuple(candidates[i])):
         x = candidates[idx]
-        if not any(np.linalg.norm(x - r) <= tol * (1.0 + np.linalg.norm(r)) for r in reps):
+        hits = [j for j, r in enumerate(reps) if np.linalg.norm(x - r) <= tol * (1.0 + np.linalg.norm(r))]
+        if hits:
+            labels[idx] = hits[0]
+        else:
+            labels[idx] = len(reps)
             reps.append(x)
-    return reps
+    return reps, labels
 
 
 def test_cluster_representatives_matches_loop():
     rng = np.random.default_rng(44)
-    assert _cluster_representatives([], 1e-6) == []
+    reps, labels = _cluster(np.empty((0, 2)), 1e-6)
+    assert reps.shape == (0, 2) and len(labels) == 0
     for _ in range(300):
         d = int(rng.integers(1, 7))
         centres = rng.uniform(-5.0, 5.0, size=(int(rng.integers(1, 8)), d))
@@ -323,10 +316,31 @@ def test_cluster_representatives_matches_loop():
         cloud = centres[pick] + rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-9.0, -4.0, size=(n, 1))
         cloud[rng.random(n) < 0.1] = centres[0]                 # exact duplicates
         candidates = list(cloud)
-        got = _cluster_representatives(candidates, 1e-6)
-        want = cluster_representatives_loop(candidates, 1e-6)
+        got, got_labels = _cluster(candidates, 1e-6)
+        want, want_labels = cluster_representatives_loop(candidates, 1e-6)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert list(got_labels) == want_labels
+
+
+def test_dedup_keeps_best_member_and_cluster_diameter():
+    m = pair_mixture_1d()
+    # one cluster around the saddle at 0, whose exact centre is neither the
+    # first member in lexicographic order nor the cluster's representative;
+    # 5e-7 is in the cluster but too far out to pass the gradient test
+    saddle = [np.array([2e-10]), np.array([5e-7]), np.array([0.0]), np.array([-1e-10])]
+    mode = [np.array([PAIR_MODE + 1e-12]), np.array([PAIR_MODE])]
+    points = _dedup_points(saddle + mode, m, SolverConfig(), build_reduced(m, reference=0))
+    assert len(points) == 2
+    centre, top = points
+    residuals = {float(x[0]): classify(m, x).gradient_residual
+                 for x in saddle if float(np.abs(x[0])) < 1e-9}
+    assert float(centre.location[0]) == min(residuals, key=residuals.get) == 0.0
+    assert centre.gradient_residual == min(residuals.values())
+    assert centre.cluster_diameter == 5e-7 + 1e-10
+    best_mode = min(mode, key=lambda x: classify(m, x).gradient_residual)
+    assert np.array_equal(top.location, best_mode)
+    assert top.cluster_diameter == pytest.approx(1e-12, rel=1e-3)
 
 
 # -- critical point search ----------------------------------------------------------
@@ -453,25 +467,6 @@ def test_determinism():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_threaded_solve_matches_serial():
-    rng = np.random.default_rng(37)
-    m = random_mixture(rng, 2, 4)
-    serial = find_critical_points(m, SolverConfig(threads=1))
-    threaded = find_critical_points(m, SolverConfig(threads=2))
-    assert serial.n_critical == threaded.n_critical
-    for a, b in zip(serial.points, threaded.points):
-        assert np.allclose(a.location, b.location, atol=1e-9)
-
-
-def test_threads_env_var(monkeypatch):
-    monkeypatch.setenv("MODECOUNT_THREADS", "3")
-    assert SolverConfig().effective_threads() == 3
-    monkeypatch.setenv("MODECOUNT_THREADS", "junk")
-    assert SolverConfig().effective_threads() == 1
-    monkeypatch.delenv("MODECOUNT_THREADS")
-    assert SolverConfig(threads=2).effective_threads() == 2
-
-
 # -- homoscedastic reduction ----------------------------------------------------------
 
 
@@ -518,6 +513,20 @@ def test_reduced_solve_rejects_heteroscedastic():
     m = random_mixture(rng, 2, 3)
     with pytest.raises(ValueError):
         solve_reduced_homoscedastic(m)
+    coincident = Mixture.from_arrays([0.3, 0.7], [[1.0, 2.0], [1.0, 2.0]],
+                                     [np.eye(2), 2.0 * np.eye(2)])
+    with pytest.raises(ValueError, match="homoscedastic"):
+        solve_reduced_homoscedastic(coincident)
+
+
+def test_reduced_solve_of_coincident_means():
+    # affine rank 0 leaves nothing to reduce; the solve matches the direct one
+    m = Mixture.from_arrays([0.3, 0.7], [[1.0, 2.0], [1.0, 2.0]], shared_covariance=np.eye(2))
+    report = solve_reduced_homoscedastic(m)
+    assert report.n_critical == report.n_modes == 1
+    assert np.allclose(report.points[0].location, [1.0, 2.0], atol=1e-12)
+    assert report.hom_rank == 0
+    assert report.to_dict() == find_critical_points(m).to_dict()
 
 
 def test_lift_preserves_critical_structure():
