@@ -380,7 +380,10 @@ def realize_recipe(
     recipe.lift_to dimensions, then remote-padded with recipe.pad extra
     components.  The solver must confirm at least recipe.value modes; a
     shortfall raises RecipeVerificationError carrying the achieved count.
-    Near-degenerate outcomes get one tilt-polish pass before the verdict.
+    So does a nondegenerate final report that fails the Morse inequalities,
+    since such a report has missed critical points and its mode count
+    certifies nothing.  Near-degenerate outcomes get one tilt-polish pass
+    before the verdict.
 
     Returns (witness, provenance) where provenance records the recipe, the
     claim, the verified count, and the tolerances used.
@@ -431,6 +434,13 @@ def realize_recipe(
             "grad_accept_tol": config.grad_accept_tol,
         },
     }
+    if report.all_nondegenerate and not report.morse_inequality_ok:
+        raise RecipeVerificationError(
+            recipe.value, achieved,
+            "witness report fails the Morse check M <= floor((N+1)/2), C_(d-1) >= M-1 "
+            f"with N={report.n_critical}, M={achieved}, C_(d-1)={report.n_index_dminus1}, "
+            "so the solver missed critical points",
+        )
     if achieved < recipe.value:
         raise RecipeVerificationError(recipe.value, achieved)
     return witness, provenance

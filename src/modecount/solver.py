@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,11 +50,11 @@ _LADDER_EDGES = (0, 1, 2, 4, 8, 16, 32)
 class SolverConfig:
     """Tolerances and search parameters for `find_critical_points`.
 
-    The defaults implement the documented contract: an 8-subdivision
-    responsibility lattice plus mean-shift chains for starts, Newton in log
-    ratio coordinates converging at 1e-12, relative dedup at 1e-6,
-    degeneracy flagged below eigenvalue ratio 1e-8, and points accepted as
-    critical when the density-relative gradient norm is below 1e-9.
+    The defaults implement the documented contract: Newton in log ratio
+    coordinates converging at 1e-12, relative dedup at 1e-6, degeneracy
+    flagged below eigenvalue ratio 1e-8, and points accepted as critical
+    when the density-relative gradient norm is below 1e-9.  The starts
+    are fixed by `find_critical_points`, not configured here.
 
     The Newton line search halves a step at most `max_halvings` = 12 times
     and drops a start that no rung improves.  A start that cannot lower its
@@ -66,7 +66,6 @@ class SolverConfig:
     points, modes or indices, only how many starts converge.
     """
 
-    lattice_subdivisions: int = 8
     newton_max_iter: int = 200
     newton_tol: float = 1e-12
     max_halvings: int = 12
@@ -328,48 +327,19 @@ class _LogSolver:
         return u[converged], int(np.count_nonzero(converged))
 
 
-def _lattice_starts(k: int, ref: int, subdivisions: int) -> Iterable[np.ndarray]:
-    """Log-ratio starts from the responsibility lattice {n/m : sum n = m}.
-
-    Cells with zero reference weight are skipped; zero free coordinates are
-    nudged to 1/(2m) so the log-ratios stay finite.
-    """
-    m = subdivisions
-    floor = 1.0 / (2.0 * m)
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head,) + rest
-
-    for cell in compositions(m, k):
-        if cell[ref] == 0:
-            continue
-        w = np.array([max(c / m, floor) for c in cell])
-        log_w = np.log(w)
-        yield np.array([log_w[i] - log_w[ref] for i in range(k) if i != ref])
-
-
-def _mean_shift_chain(mixture: Mixture, x0: np.ndarray, config: SolverConfig) -> tuple[list[np.ndarray], np.ndarray]:
-    """Iterate the mean-shift map; returns sampled iterates and the end point."""
+def _mean_shift_chain(mixture: Mixture, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """Iterate the mean-shift map from x0; returns the chain's end point."""
     x = np.asarray(x0, dtype=float)
-    samples = [x.copy()]
-    for it in range(config.mean_shift_max_iter):
+    for _ in range(config.mean_shift_max_iter):
         x_next = mean_shift_step(mixture, x)
         if not np.all(np.isfinite(x_next)):
             break
-        if it < 12 or it % 25 == 0:
-            samples.append(x_next.copy())
-        # chain points only seed the Newton stage, so a loose stop suffices
+        # the end point only seeds the Newton stage, so a loose stop suffices
         if np.linalg.norm(x_next - x) <= 1e-10 * (1.0 + np.linalg.norm(x)):
             x = x_next
             break
         x = x_next
-    samples.append(x.copy())
-    return samples, x
+    return x
 
 
 def _chord_bracket_starts(mixture: Mixture, reps: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -777,12 +747,13 @@ def _single_component_report(mixture: Mixture, config: SolverConfig) -> SolveRep
 def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -> SolveReport:
     """Locate and classify the critical points of a mixture density.
 
-    Multistart damped Newton on the log-ratio system, seeded from a
-    responsibility lattice, mean-shift chains started at every component
-    mean, and pairwise mean midpoints; converged roots are polished by
-    gradient-monitored mean-shift steps, deduplicated, and classified.
-    There is no completeness certificate; the report carries start/drop
-    diagnostics instead.
+    Multistart damped Newton on the log-ratio system, seeded from three
+    sources: the end points of mean-shift chains started at every component
+    mean, the pairwise mean midpoints, and restart rounds that reseed on
+    segments and chord brackets between the roots found so far.  Converged
+    roots are polished by gradient-monitored mean-shift steps, deduplicated,
+    and classified.  There is no completeness certificate; the report
+    carries start/drop diagnostics instead.
     """
     config = config or SolverConfig()
     d, k = mixture.dim, mixture.n_components
@@ -799,25 +770,19 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     sys = build_reduced(mixture, reference=reference)
     log_solver = _LogSolver(sys)
 
-    starts: list[np.ndarray] = list(_lattice_starts(k, reference, config.lattice_subdivisions))
-    seed_points: list[np.ndarray] = []
-    for mean in mixture.means:
-        samples, end = _mean_shift_chain(mixture, mean, config)
-        seed_points.extend(samples)
-        seed_points.append(end)
-    for i in range(k):
-        for j in range(i + 1, k):
-            seed_points.append(0.5 * (mixture.means[i] + mixture.means[j]))
-    starts.extend(sys.log_rho(p) for p in seed_points)
-    u0 = np.array(starts)
+    seed_points = [_mean_shift_chain(mixture, mean, config) for mean in mixture.means]
+    seed_points.extend(
+        0.5 * (mixture.means[i] + mixture.means[j]) for i in range(k) for j in range(i + 1, k)
+    )
+    starts = [sys.log_rho(p) for p in seed_points]
 
-    roots, n_converged = log_solver.solve_batch(u0, config)
+    roots, n_converged = log_solver.solve_batch(np.array(starts), config)
     reps, _ = _cluster(log_solver.x_batch(roots)[0], config.dedup_tol)
     n_starts_total = len(starts)
 
-    # Restart rounds: critical points missed by the lattice (tiny-responsibility
-    # saddles between far-apart modes) sit on segments between found points, so
-    # reseed Newton there until the set stops growing.
+    # Restart rounds: critical points the chains and midpoints miss (such as
+    # tiny-responsibility saddles between far-apart modes) sit on segments
+    # between found points, so reseed Newton there until the set stops growing.
     for _ in range(5):
         if not len(reps):
             break

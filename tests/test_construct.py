@@ -22,6 +22,8 @@ from modecount import (
     product,
     radial_critical_roots,
     realize_recipe,
+    seed_closure_bound,
+    simplex_family,
     simplex_seed,
     simplex_vertices,
     tilt_polish,
@@ -322,6 +324,15 @@ def test_realize_shortfall_raises_with_counts():
         realize_recipe(recipe, epsilon=0.15)
     assert err.value.claimed == 4
     assert err.value.achieved == 1
+
+
+def test_realize_rejects_report_failing_morse_check():
+    # the padded 1-d k = 6 witness: the solver misses two antimodes, so its
+    # nondegenerate report fails the Morse inequalities and its six modes
+    # cannot count as verified
+    _, recipe = seed_closure_bound(1, 6, simplex_family)
+    with pytest.raises(RecipeVerificationError, match="fails the Morse check"):
+        realize_recipe(recipe)
 
 
 def test_realize_rejects_mismatched_pad_spec():

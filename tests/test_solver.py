@@ -1,5 +1,6 @@
 """Solver tests: reduced system algebra, Newton search, classification."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -286,6 +287,42 @@ def test_halving_cap_keeps_critical_set():
         assert np.max(np.abs(a - b)) <= 1e-9
 
 
+# Counts on a held-out battery (seed 5151, used nowhere else), recorded with
+# the responsibility lattice and the intermediate mean-shift samples still
+# among the starts: (n_critical, counts_by_index, all_nondegenerate).
+START_SOURCE_BATTERY_COUNTS = [
+    (3, {0: 1, 1: 2}, True), (1, {1: 1}, True), (3, {0: 1, 1: 2}, True),
+    (3, {0: 1, 1: 2}, True), (3, {0: 1, 1: 2}, True), (5, {0: 2, 1: 3}, True),
+    (1, {1: 1}, True), (1, {1: 1}, True), (3, {0: 1, 1: 2}, True),
+    (5, {0: 2, 1: 3}, True), (1, {1: 1}, True), (3, {0: 1, 1: 2}, True),
+    (3, {1: 1, 2: 2}, True), (5, {1: 2, 2: 3}, True), (1, {2: 1}, True),
+    (3, {3: 1, 4: 2}, True), (9, {2: 1, 3: 4, 4: 4}, True), (3, {3: 1, 4: 2}, True),
+    (3, {5: 1, 6: 2}, True), (7, {5: 3, 6: 4}, True), (13, {4: 2, 5: 6, 6: 5}, True),
+    (5, {4: 2, 5: 3}, True),
+]
+
+
+def test_start_sources_keep_critical_set():
+    # chain end points, mean midpoints and the restart rounds find every
+    # root the lattice and the chain samples used to find
+    rng = np.random.default_rng(5151)
+    battery = [random_mixture_1d(rng, k_max=6) for _ in range(12)]
+    battery += [random_mixture(rng, d, k) for d in (2, 4, 6) for k in (2, 4, 6)]
+    basis = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+    means = rng.uniform(-1.0, 1.0, size=5) + 2.5 * rng.standard_normal((4, 2)) @ basis.T
+    battery.append(Mixture.from_arrays(
+        rng.uniform(0.3, 1.0, size=4), means, shared_covariance=random_spd(rng, 5, scale=0.2),
+    ))
+    found = []
+    for m in battery:
+        report = find_critical_points(m)
+        found.append((report.n_critical, report.counts_by_index, report.all_nondegenerate))
+    assert found == START_SOURCE_BATTERY_COUNTS
+    # 1,105 starts with the lattice and the chain samples
+    report = find_critical_points(random_mixture(np.random.default_rng(47), 6, 6))
+    assert report.n_starts <= 1105 // 2
+
+
 def cluster_representatives_loop(candidates, tol):
     """Reference greedy clustering: plain Python loop over representatives.
 
@@ -446,7 +483,7 @@ def test_report_roundtrips_through_json():
     assert doc["n_critical"] == 3 and doc["n_modes"] == 2
     assert doc["counts_by_index"] == {"0": 1, "1": 2}
     assert doc["u_best"] == 8
-    assert doc["config"]["lattice_subdivisions"] == 8
+    assert list(doc["config"]) == [f.name for f in dataclasses.fields(SolverConfig)]
     assert all(isinstance(p["location"][0], float) for p in doc["points"])
 
 
