@@ -2,10 +2,12 @@
 
 Critical points of a k-component mixture biject with positive roots of the
 (k-1)-dimensional system R(y) = 0, where y carries the component density
-ratios against a reference component.  This module builds that system,
-solves it with a deterministic multistart damped Newton iteration in
-log-coordinates, classifies the roots by Hessian inertia, and assembles a
-report with Morse-inequality and upper-bound verdicts.
+ratios against a reference component, and any component can be that
+reference.  This module builds that system for one reference
+(`ReducedSystem`), solves it with a deterministic multistart damped Newton
+iteration in log-coordinates that runs each start in the chart of its own
+dominant component, classifies the roots by Hessian inertia, and assembles
+a report with Morse-inequality and upper-bound verdicts.
 
 Everything downstream of `relative_derivatives` works with density-relative
 quantities (responsibilities, gradient over density, Hessian over density),
@@ -51,10 +53,12 @@ class SolverConfig:
     """Tolerances and search parameters for `find_critical_points`.
 
     The defaults implement the documented contract: Newton in log ratio
-    coordinates converging at 1e-12, relative dedup at 1e-6, degeneracy
+    coordinates converging at 1e-12 (relative to the largest log-ratio of
+    the row, see `_LogSolver`), relative dedup at 1e-6, degeneracy
     flagged below eigenvalue ratio 1e-8, and points accepted as critical
     when the density-relative gradient norm is below 1e-9.  The starts
-    are fixed by `find_critical_points`, not configured here.
+    and the Newton polish of the roots in the original coordinates are
+    fixed by `find_critical_points`, not configured here.
 
     The Newton line search halves a step at most `max_halvings` = 12 times
     and drops a start that no rung improves.  A start that cannot lower its
@@ -70,7 +74,6 @@ class SolverConfig:
     newton_tol: float = 1e-12
     max_halvings: int = 12
     mean_shift_max_iter: int = 500
-    polish_max_iter: int = 80
     dedup_tol: float = 1e-6
     degeneracy_tol: float = 1e-8
     grad_accept_tol: float = 1e-9
@@ -124,9 +127,10 @@ class ReducedSystem:
 def build_reduced(mixture: Mixture, reference: int | None = None) -> ReducedSystem:
     """Assemble the reduced system with the given reference component.
 
-    The reference defaults to the last component.  `find_critical_points`
-    instead picks the largest-weight component for numerical headroom; any
-    choice gives the same critical set.
+    The reference defaults to the last component; any choice gives the
+    same critical set.  `find_critical_points` does not build this system:
+    `_LogSolver` evaluates the same equations from the component terms, in
+    a chart picked per start.
     """
     k = mixture.n_components
     if k < 2:
@@ -156,18 +160,20 @@ def build_reduced(mixture: Mixture, reference: int | None = None) -> ReducedSyst
     )
 
 
-def _log_ratios(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive ratios y as floats, and u = log y as a one-row `_LogSolver` batch."""
+def _chart_row(sys: ReducedSystem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive ratios y as floats, and log y as a one-row batch u in chart `sys.reference`."""
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("ratios y must be strictly positive")
-    return y, np.log(y)[None]
+    u = np.zeros((1, sys.mixture.n_components))
+    u[0, list(sys.free)] = np.log(y)
+    return y, u
 
 
 def x_of_y(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
     """The candidate critical point X(y) = M(y)^{-1} nu(y) for positive ratios y."""
-    _, u = _log_ratios(y)
-    x, _, _ = _LogSolver(sys).x_batch(u)
+    _, u = _chart_row(sys, y)
+    x, _, _ = _LogSolver(sys.mixture).x_batch(u)
     return x[0]
 
 
@@ -177,8 +183,9 @@ def residual_R(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
     Evaluated as -y_i expm1(-S_i(log y)) from the log-ratio residual S, which
     is the same real function assembled without overflowing intermediates.
     """
-    y, u = _log_ratios(y)
-    return -y * np.expm1(-_LogSolver(sys).residual_batch(u)[0])
+    y, u = _chart_row(sys, y)
+    s = _LogSolver(sys.mixture).residual_batch(u, np.array([sys.reference]))
+    return -y * np.expm1(-s[0, list(sys.free)])
 
 
 def reduced_jacobian(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
@@ -187,11 +194,12 @@ def reduced_jacobian(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
     With rho = y exp(-S) the ratios at X(y), DR = I - diag(rho) (I - DS)
     diag(1/y), where DS is the Jacobian of S in u = log y.
     """
-    y, u = _log_ratios(y)
-    s, jac = _LogSolver(sys).residual_and_jacobian_batch(u)
+    y, u = _chart_row(sys, y)
+    s, jac = _LogSolver(sys.mixture).residual_and_jacobian_batch(u, np.array([sys.reference]))
+    free = list(sys.free)
     eye = np.eye(sys.n_free)
-    rho = y * np.exp(-s[0])
-    return eye - rho[:, None] * (eye - jac[0]) / y[None, :]
+    rho = y * np.exp(-s[0, free])
+    return eye - rho[:, None] * (eye - jac[0][np.ix_(free, free)]) / y[None, :]
 
 
 def mean_shift_step(mixture: Mixture, x: np.ndarray) -> np.ndarray:
@@ -209,75 +217,97 @@ def mean_shift_step(mixture: Mixture, x: np.ndarray) -> np.ndarray:
 
 
 class _LogSolver:
-    """Batched Newton iteration on S(u) = u - log beta - q(X(exp u)).
+    """Batched damped Newton on the log-ratio system, each row in its own chart.
 
-    X is evaluated through softmax responsibilities, so arbitrarily large
-    log-ratios never materialize as exponentials.  All starts iterate
-    together with batched linear algebra; each start carries its own
-    line-search state and drops out on convergence or failure.
+    A row holds the full k-vector u of log-ratios together with a chart c,
+    the component whose ratio is the reference.  With the centred component
+    terms L_i(x) = log(alpha_i phi_i(x)) = log alpha_i + log norm_i
+    - (x - mu_i)'A_i(x - mu_i)/2, the residual is
+
+        S(u) = (u - L(X(u))) - (u_c - L_c(X(u))),
+
+    where X(u) = M_w^{-1} nu_w with responsibilities w = softmax(u), so
+    arbitrarily large log-ratios never materialize as exponentials.  S_c
+    vanishes, and the other entries are the reduced system of chart c in
+    log y = u - u_c.  A change of chart is linear, so it leaves Newton's
+    step unchanged (Newton's method is affine invariant), but it changes
+    the residual norm that the line search and the tolerance read.  A start
+    begins in the chart of its largest log-ratio, where no ratio exceeds 1,
+    and keeps that chart; in the chart of a component that is negligible at
+    the start, a root's residual can sit far above its tolerance one step
+    from the root.
 
     Every reduction runs along one row (einsum rather than BLAS matmul, whose
     rounding depends on the batch shape), so a row's residual, and hence its
     Newton path, does not depend on which other rows share its batch.
     """
 
-    def __init__(self, sys: ReducedSystem):
-        self.sys = sys
-        mix = sys.mixture
-        order = (sys.reference,) + sys.free
-        self.precisions = mix.precisions[list(order)]
-        self.pmeans = np.einsum("kij,kj->ki", self.precisions, mix.means[list(order)])
-        self.means = mix.means[list(order)]
+    def __init__(self, mixture: Mixture):
+        self.mixture = mixture
+        self.means = mixture.means
+        self.precisions = mixture.precisions
+        self.pmeans = np.einsum("kij,kj->ki", self.precisions, self.means)
+        self.log_wn = mixture.log_weights + mixture.log_norms
+
+    def component_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """L(x) as a (B, k) batch, and A_i (x - mu_i) as (B, k, d), for (B, d) points."""
+        diff = x[:, None, :] - self.means[None]
+        atimes = np.einsum("kij,bkj->bki", self.precisions, diff)
+        return self.log_wn - 0.5 * np.einsum("bki,bki->bk", diff, atimes), atimes
+
+    def chart_coords(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log-ratios u = L(x) - L_c(x) and chart c = argmax L(x) for (B, d) points."""
+        terms, _ = self.component_terms(x)
+        charts = np.argmax(terms, axis=1)
+        return _centre(terms, charts), charts
 
     def x_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, w, M_w) for a (B, m) batch of log-ratio vectors."""
-        logits = np.concatenate([np.zeros((u.shape[0], 1)), u], axis=1)
-        w = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        """(X, w, M_w) for a (B, k) batch of log-ratio vectors."""
+        w = np.exp(u - logsumexp(u, axis=1, keepdims=True))
         m_mat = np.einsum("bk,kij->bij", w, self.precisions)
         nu = np.einsum("bk,ki->bi", w, self.pmeans)
         x = np.linalg.solve(m_mat, nu[..., None])[..., 0]
         return x, w, m_mat
 
-    def residual_batch(self, u: np.ndarray) -> np.ndarray:
+    def residual_batch(self, u: np.ndarray, charts: np.ndarray) -> np.ndarray:
         x, _, _ = self.x_batch(u)
-        return u - self._log_rho_batch(x)
+        terms, _ = self.component_terms(x)
+        return _centre(u - terms, charts)
 
-    def _log_rho_batch(self, x: np.ndarray) -> np.ndarray:
-        sys = self.sys
-        q = (
-            0.5 * np.einsum("bi,kij,bj->bk", x, sys.quad, x)
-            + np.einsum("bi,ki->bk", x, sys.lin)
-            + sys.const
-        )
-        return sys.log_betas + q
-
-    def residual_and_jacobian_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def residual_and_jacobian_batch(self, u: np.ndarray, charts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """S and its k x k Newton matrix, whose row c is e_c, so that step_c = 0."""
         x, w, m_mat = self.x_batch(u)
-        s = u - self._log_rho_batch(x)
-        # dX/du_j = w_j M_w^{-1} A_j (mu_j - X) for the non-reference columns
-        rhs = np.einsum("jde,bje->bjd", self.precisions[1:], self.means[None, 1:] - x[:, None, :])
-        cols = np.linalg.solve(m_mat, rhs.transpose(0, 2, 1))       # (B, d, m)
-        cols = cols * w[:, None, 1:]
-        grads = np.einsum("kij,bj->bki", self.sys.quad, x) + self.sys.lin[None]
+        terms, atimes = self.component_terms(x)
+        s = _centre(u - terms, charts)
+        # dX/du_j = -w_j M_w^{-1} A_j (X - mu_j), and the gradient of L_i in X
+        # is -A_i (X - mu_i)
+        cols = -np.linalg.solve(m_mat, atimes.transpose(0, 2, 1)) * w[:, None, :]
+        grads = _centre(-atimes, charts)
         jac = np.eye(u.shape[1]) - np.einsum("bkd,bdm->bkm", grads, cols)
         return s, jac
 
     def _row_tols(self, u: np.ndarray, tol: float) -> np.ndarray:
         # Residual entries are differences of log-density terms of size |u|,
         # so the attainable floor grows with the largest log-ratio; a root a
-        # few thousand log-units from the reference can never reach an
-        # absolute 1e-12.
+        # few thousand log-units from its chart can never reach an absolute
+        # 1e-12.
         return tol * (1.0 + np.max(np.abs(u), axis=1))
 
-    def solve_batch(self, u0: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, int]:
-        """Run damped Newton from every row of u0; returns (converged rows, count)."""
+    def solve_batch(self, x0: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, int]:
+        """Damped Newton from each seed point in its dominant chart; returns (roots, count)."""
+        u, converged = self.iterate(*self.chart_coords(x0), config)
+        return self.x_batch(u[converged])[0], int(np.count_nonzero(converged))
+
+    def iterate(self, u0: np.ndarray, charts: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Damped Newton on every row of log-ratios u0 in its chart.
+
+        Returns the final rows and the mask of those that converged.
+        """
         u = np.array(u0, dtype=float)
-        if u.size == 0:
-            return u, 0
         norms = np.full(u.shape[0], np.inf)
         finite = np.all(np.isfinite(u), axis=1)
         if np.any(finite):
-            norms[finite] = np.linalg.norm(self.residual_batch(u[finite]), axis=1)
+            norms[finite] = np.linalg.norm(self.residual_batch(u[finite], charts[finite]), axis=1)
         active = np.isfinite(norms) & (norms > self._row_tols(u, config.newton_tol))
         edges = [e for e in _LADDER_EDGES if e < config.max_halvings] + [config.max_halvings]
 
@@ -285,7 +315,7 @@ class _LogSolver:
             if not np.any(active):
                 break
             idx = np.flatnonzero(active)
-            s, jac = self.residual_and_jacobian_batch(u[idx])
+            s, jac = self.residual_and_jacobian_batch(u[idx], charts[idx])
             steps = np.full_like(s, np.nan)
             try:
                 steps = np.linalg.solve(jac, -s[..., None])[..., 0]
@@ -310,7 +340,8 @@ class _LogSolver:
                 scales = np.ldexp(1.0, -np.arange(lo, hi))
                 cand = u[pending][:, None, :] + scales[None, :, None] * steps[:, None, :]
                 cand_norms = np.linalg.norm(
-                    self.residual_batch(cand.reshape(-1, u.shape[1])), axis=1
+                    self.residual_batch(cand.reshape(-1, u.shape[1]), np.repeat(charts[pending], hi - lo)),
+                    axis=1,
                 ).reshape(len(pending), hi - lo)
                 better = np.isfinite(cand_norms) & (cand_norms < norms[pending][:, None])
                 hit = better.any(axis=1)
@@ -323,8 +354,12 @@ class _LogSolver:
             active[pending] = False          # no improving step: give up on these
             active &= norms > self._row_tols(u, config.newton_tol)
 
-        converged = norms <= self._row_tols(u, config.newton_tol)
-        return u[converged], int(np.count_nonzero(converged))
+        return u, norms <= self._row_tols(u, config.newton_tol)
+
+
+def _centre(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
+    """Subtract from each row of a batch its entry in that row's chart."""
+    return values - values[np.arange(len(values)), charts][:, None]
 
 
 def _mean_shift_chain(mixture: Mixture, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -342,7 +377,7 @@ def _mean_shift_chain(mixture: Mixture, x0: np.ndarray, config: SolverConfig) ->
     return x
 
 
-def _chord_bracket_starts(mixture: Mixture, reps: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _chord_bracket_starts(solver: _LogSolver, reps: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Seeds near critical points missed between found ones.
 
     Along the chord between two critical points the directional slope of
@@ -363,14 +398,8 @@ def _chord_bracket_starts(mixture: Mixture, reps: Sequence[np.ndarray]) -> list[
     if not len(origins):
         return []
 
-    means = mixture.means
-    precisions = mixture.precisions
-    log_wn = mixture.log_weights + mixture.log_norms
-
     def slopes(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        diff = points[:, None, :] - means[None]
-        atimes = np.einsum("kij,bkj->bki", precisions, diff)
-        terms = log_wn - 0.5 * np.einsum("bki,bki->bk", diff, atimes)
+        terms, atimes = solver.component_terms(points)
         w = np.exp(terms - logsumexp(terms, axis=1, keepdims=True))
         rel_grad = -np.einsum("bk,bki->bi", w, atimes)
         return np.einsum("bi,bi->b", directions, rel_grad)
@@ -402,37 +431,19 @@ def _chord_bracket_starts(mixture: Mixture, reps: Sequence[np.ndarray]) -> list[
     return seeds
 
 
-def _polish_mean_shift(mixture: Mixture, x: np.ndarray, config: SolverConfig) -> np.ndarray:
+def _polish_newton(mixture: Mixture, x: np.ndarray) -> np.ndarray:
     """Sharpen an approximate critical point in the original coordinates.
 
-    A mean-shift stage runs first, accepting steps only while the relative
-    gradient shrinks (saddles repel the mean-shift map, so each step must
-    pay its way).  A damped Newton stage on the relative gradient follows:
-    mean shift stalls at saddles and walks away from minima, while Newton
-    with the log-density Hessian converges quadratically from any nearby
-    nondegenerate critical point.
+    Damped Newton on the relative gradient, with the log-density Hessian,
+    converges quadratically from any nearby nondegenerate critical point,
+    whatever its index.  A step is taken only if it lowers the gradient norm.
     """
     def resid(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         # the gradient norm, plus the derivatives a Newton step from p needs
         _, rel_grad, rel_hess = mixture.relative_derivatives(p)
         return float(np.linalg.norm(rel_grad)), rel_grad, rel_hess
 
-    best, (best_res, best_g, best_h) = x, resid(x)
-    current = x
-    for _ in range(config.polish_max_iter):
-        nxt = mean_shift_step(mixture, current)
-        if not np.all(np.isfinite(nxt)):
-            break
-        res, g, h = resid(nxt)
-        if res < best_res:
-            best, best_res, best_g, best_h = nxt, res, g, h
-        if np.linalg.norm(nxt - current) <= 1e-16 * (1.0 + np.linalg.norm(current)):
-            break
-        if res > 10.0 * best_res:
-            break
-        current = nxt
-
-    current, res, g, h = best, best_res, best_g, best_h
+    current, (res, g, h) = x, resid(x)
     for _ in range(8):
         if res <= 1e-15:
             break
@@ -453,9 +464,7 @@ def _polish_mean_shift(mixture: Mixture, x: np.ndarray, config: SolverConfig) ->
             scale *= 0.5
         if not improved:
             break
-    if res < best_res:
-        best = current
-    return best
+    return current
 
 
 # -- classification and reporting -----------------------------------------------
@@ -590,11 +599,12 @@ class SolveReport:
 
 
 def _classify_at(
-    mixture: Mixture,
+    solver: _LogSolver,
     x: np.ndarray,
     config: SolverConfig,
-    sys: ReducedSystem | None,
+    reference: int | None,
 ) -> CriticalPoint:
+    mixture = solver.mixture
     log_value, rel_grad, rel_hess = mixture.relative_derivatives(x)
     grad_residual = float(np.linalg.norm(rel_grad))
     if not grad_residual <= config.grad_accept_tol:
@@ -609,29 +619,17 @@ def _classify_at(
     # eigenvalues near zero, e.g. a fold point in 1-d) must still register.
     scale = max(float(abs_eigs.max()), float(np.linalg.eigvalsh(mixture.precisions).max()))
     eig_ratio = float(abs_eigs.min() / scale) if scale > 0.0 else 0.0
-    shifted = mean_shift_step(mixture, x)              # equals X(rho(x)) exactly
-    ms_residual = float(np.linalg.norm(shifted - x))
-    reduced_coords = None
-    reduced_residual = None
-    reduced_reference = None
-    if sys is not None:
-        log_y = sys.log_rho(x)
-        with np.errstate(over="ignore"):
-            reduced_coords = np.exp(log_y)
+    ms_residual = float(np.linalg.norm(mean_shift_step(mixture, x) - x))
+    reduced_coords = reduced_residual = reduced_reference = None
+    if reference is not None:
         # R is taken in the dominant component's chart (see CriticalPoint),
-        # whose log-ratio is the largest: re-centring the log-ratios and the
-        # q increments on it gives that chart's y and delta q without
-        # building its system.
-        k = mixture.n_components
-        full_log_y = np.zeros(k)
-        full_log_y[list(sys.free)] = log_y
-        reduced_reference = int(np.argmax(full_log_y))
-        others = [i for i in range(k) if i != reduced_reference]
-        full_delta_q = np.zeros(k)
-        full_delta_q[list(sys.free)] = sys.q_values(shifted) - sys.q_values(x)
-        y = np.exp(full_log_y[others] - full_log_y[reduced_reference])
-        delta_q = full_delta_q[others] - full_delta_q[reduced_reference]
-        reduced_residual = float(np.linalg.norm(-y * np.expm1(delta_q)))
+        # where R_i = -y_i expm1(-S_i) and the chart's own entry is 0
+        log_y, charts = solver.chart_coords(x[None])
+        s = solver.residual_batch(log_y, charts)
+        reduced_residual = float(np.linalg.norm(-np.exp(log_y) * np.expm1(-s)))
+        reduced_reference = int(charts[0])
+        with np.errstate(over="ignore"):
+            reduced_coords = np.exp(np.delete(log_y[0] - log_y[0, reference], reference))
     return CriticalPoint(
         location=np.array(x, dtype=float),
         density=float(np.exp(log_value)),
@@ -648,10 +646,9 @@ def _classify_at(
     )
 
 
-def polish_critical(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None) -> np.ndarray:
-    """Refine an approximate critical point by mean shift plus Newton sharpening."""
-    config = config or SolverConfig()
-    return _polish_mean_shift(mixture, np.asarray(x, dtype=float), config)
+def polish_critical(mixture: Mixture, x: np.ndarray) -> np.ndarray:
+    """Refine an approximate critical point by damped Newton on the relative gradient."""
+    return _polish_newton(mixture, np.asarray(x, dtype=float))
 
 
 def classify(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None) -> CriticalPoint:
@@ -661,10 +658,8 @@ def classify(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None
     the configured tolerance.
     """
     config = config or SolverConfig()
-    sys = None
-    if mixture.n_components >= 2:
-        sys = build_reduced(mixture, reference=int(np.argmax(mixture.weights)))
-    return _classify_at(mixture, np.asarray(x, dtype=float), config, sys)
+    reference = int(np.argmax(mixture.weights)) if mixture.n_components >= 2 else None
+    return _classify_at(_LogSolver(mixture), np.asarray(x, dtype=float), config, reference)
 
 
 def _cluster(candidates: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -694,7 +689,7 @@ def _cluster(candidates: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, 
 
 
 def _dedup_points(
-    candidates: list[np.ndarray], mixture: Mixture, config: SolverConfig, sys: ReducedSystem | None
+    candidates: list[np.ndarray], mixture: Mixture, config: SolverConfig, reference: int
 ) -> list[CriticalPoint]:
     """Cluster near-identical locations; keep each cluster's best-classified member.
 
@@ -706,13 +701,14 @@ def _dedup_points(
     members = np.array(candidates)
     members = members[np.lexsort(members.T[::-1])]      # so `min` keeps the first on ties
     _, labels = _cluster(members, config.dedup_tol)
+    solver = _LogSolver(mixture)
     points: list[CriticalPoint] = []
     for label in range(labels.max() + 1):
         cluster = members[labels == label]
         classified = []
         for x in cluster:
             try:
-                classified.append(_classify_at(mixture, x, config, sys))
+                classified.append(_classify_at(solver, x, config, reference))
             except ValueError:
                 pass
         if not classified:
@@ -725,7 +721,7 @@ def _dedup_points(
 
 
 def _single_component_report(mixture: Mixture, config: SolverConfig) -> SolveReport:
-    point = _classify_at(mixture, mixture.means[0], config, sys=None)
+    point = _classify_at(_LogSolver(mixture), mixture.means[0], config, reference=None)
     return SolveReport(
         mixture=mixture,
         points=(point,),
@@ -747,13 +743,14 @@ def _single_component_report(mixture: Mixture, config: SolverConfig) -> SolveRep
 def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -> SolveReport:
     """Locate and classify the critical points of a mixture density.
 
-    Multistart damped Newton on the log-ratio system, seeded from three
+    Multistart damped Newton on the log-ratio system, each start in the
+    chart of its dominant component (see `_LogSolver`), seeded from three
     sources: the end points of mean-shift chains started at every component
     mean, the pairwise mean midpoints, and restart rounds that reseed on
     segments and chord brackets between the roots found so far.  Converged
-    roots are polished by gradient-monitored mean-shift steps, deduplicated,
-    and classified.  There is no completeness certificate; the report
-    carries start/drop diagnostics instead.
+    roots are sharpened by Newton steps on the relative gradient,
+    deduplicated, and classified.  There is no completeness certificate;
+    the report carries start/drop diagnostics instead.
     """
     config = config or SolverConfig()
     d, k = mixture.dim, mixture.n_components
@@ -766,18 +763,14 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
             "set force=True to override"
         )
 
-    reference = int(np.argmax(mixture.weights))
-    sys = build_reduced(mixture, reference=reference)
-    log_solver = _LogSolver(sys)
-
-    seed_points = [_mean_shift_chain(mixture, mean, config) for mean in mixture.means]
-    seed_points.extend(
+    solver = _LogSolver(mixture)
+    starts = [_mean_shift_chain(mixture, mean, config) for mean in mixture.means]
+    starts.extend(
         0.5 * (mixture.means[i] + mixture.means[j]) for i in range(k) for j in range(i + 1, k)
     )
-    starts = [sys.log_rho(p) for p in seed_points]
 
-    roots, n_converged = log_solver.solve_batch(np.array(starts), config)
-    reps, _ = _cluster(log_solver.x_batch(roots)[0], config.dedup_tol)
+    roots, n_converged = solver.solve_batch(np.array(starts), config)
+    reps, _ = _cluster(roots, config.dedup_tol)
     n_starts_total = len(starts)
 
     # Restart rounds: critical points the chains and midpoints miss (such as
@@ -791,37 +784,35 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
         for i in range(len(reps)):
             for j in range(i + 1, len(anchors)):
                 for t in (0.25, 0.5, 0.75):
-                    segment_starts.append(sys.log_rho((1.0 - t) * reps[i] + t * anchors[j]))
-        segment_starts.extend(sys.log_rho(p) for p in _chord_bracket_starts(mixture, reps))
+                    segment_starts.append((1.0 - t) * reps[i] + t * anchors[j])
+        segment_starts.extend(_chord_bracket_starts(solver, reps))
         if not segment_starts:
             break
         n_starts_total += len(segment_starts)
-        more_roots, more_converged = log_solver.solve_batch(np.array(segment_starts), config)
+        more_roots, more_converged = solver.solve_batch(np.array(segment_starts), config)
         n_converged += more_converged
         if not len(more_roots):
             break
-        more_xs, _, _ = log_solver.x_batch(more_roots)
-        merged, _ = _cluster(np.concatenate([reps, more_xs]), config.dedup_tol)
+        merged, _ = _cluster(np.concatenate([reps, more_roots]), config.dedup_tol)
         if len(merged) == len(reps):
             break
         reps = merged
 
-    candidates = [_polish_mean_shift(mixture, x, config) for x in reps]
-    return _assemble_report(mixture, sys, reference, candidates, config,
+    candidates = [_polish_newton(mixture, x) for x in reps]
+    return _assemble_report(mixture, candidates, config,
                             n_starts=n_starts_total, n_converged=n_converged)
 
 
 def _assemble_report(
     mixture: Mixture,
-    sys: ReducedSystem,
-    reference: int,
     candidates: list[np.ndarray],
     config: SolverConfig,
     n_starts: int,
     n_converged: int,
 ) -> SolveReport:
     d, k = mixture.dim, mixture.n_components
-    points = _dedup_points(candidates, mixture, config, sys)
+    reference = int(np.argmax(mixture.weights))
+    points = _dedup_points(candidates, mixture, config, reference)
 
     n = len(points)
     n_modes = sum(1 for p in points if p.is_mode)
@@ -881,10 +872,8 @@ def solve_reduced_homoscedastic(mixture: Mixture, config: SolverConfig | None = 
     candidates = []
     for p in inner.points:
         z = np.concatenate([p.location, np.zeros(d - r)])
-        candidates.append(_polish_mean_shift(mixture, amap.inverse(z), config))
-    reference = int(np.argmax(mixture.weights))
-    sys = build_reduced(mixture, reference=reference)
-    return _assemble_report(mixture, sys, reference, candidates, config,
+        candidates.append(_polish_newton(mixture, amap.inverse(z)))
+    return _assemble_report(mixture, candidates, config,
                             n_starts=inner.n_starts, n_converged=inner.n_converged)
 
 

@@ -1,5 +1,6 @@
 """Construction tests: simplex seeds, lift/product, padding, recipe realization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from modecount import (
     SolverConfig,
     find_critical_points,
     lift,
+    morse_check,
     pad_remote,
     product,
     radial_critical_roots,
@@ -28,6 +30,7 @@ from modecount import (
     simplex_vertices,
     tilt_polish,
 )
+from modecount import construct
 
 
 def pair_1d():
@@ -326,13 +329,41 @@ def test_realize_shortfall_raises_with_counts():
     assert err.value.achieved == 1
 
 
-def test_realize_rejects_report_failing_morse_check():
-    # the padded 1-d k = 6 witness: the solver misses two antimodes, so its
-    # nondegenerate report fails the Morse inequalities and its six modes
-    # cannot count as verified
+def test_realize_padded_d1k6_finds_both_antimodes():
+    # the padded 1-d k = 6 witness, six unit-variance components with means
+    # from -211.9 to 473.4: Newton run in the chart of the largest-weight
+    # component dropped the starts at the antimodes near -124.68 and 54.37,
+    # so the report had 9 points and failed the Morse check
     _, recipe = seed_closure_bound(1, 6, simplex_family)
-    with pytest.raises(RecipeVerificationError, match="fails the Morse check"):
+    witness, prov = realize_recipe(recipe)
+    assert prov["n_critical"] == 11 and prov["verified_modes"] == 6
+    report = find_critical_points(witness)
+    assert report.n_critical == 11 and report.n_modes == 6
+    assert report.all_nondegenerate and report.morse_inequality_ok
+    antimodes = [float(p.location[0]) for p in report.points if not p.is_mode]
+    # both roots of the log-density slope, located by brentq
+    for root in (-124.6842000, 54.3676891):
+        assert min(abs(a - root) for a in antimodes) <= 1e-6
+
+
+def test_realize_rejects_report_failing_morse_check(monkeypatch):
+    # a report that misses a critical point fails the Morse inequalities, and
+    # its mode count cannot count as verified: drop one index-(d-1) point from
+    # every nondegenerate report of a witness that otherwise realizes
+    real = construct.find_critical_points
+
+    def missing_a_saddle(mixture, config=None):
+        report = real(mixture, config)
+        d = mixture.dim
+        drop = next(i for i, p in enumerate(report.points) if p.morse_index == d - 1)
+        short = dataclasses.replace(report, points=report.points[:drop] + report.points[drop + 1:])
+        return dataclasses.replace(short, morse_inequality_ok=morse_check(short))
+
+    monkeypatch.setattr(construct, "find_critical_points", missing_a_saddle)
+    recipe = SeedRecipe(seeds=(SeedTriple(2, 3, 4),), lift_to=2, pad=0, value=4)
+    with pytest.raises(RecipeVerificationError, match="fails the Morse check") as err:
         realize_recipe(recipe)
+    assert "N=6, M=4, C_(d-1)=2" in str(err.value)
 
 
 def test_realize_rejects_mismatched_pad_spec():

@@ -131,8 +131,9 @@ def test_reduced_jacobian_matches_finite_differences():
 
 
 def test_residual_matches_q_values_at_x_of_y():
-    # residual_R runs through _LogSolver's batched log-ratio q; the plain
-    # formula runs through ReducedSystem.q_values
+    # residual_R runs through _LogSolver's centred component terms
+    # log(alpha_i phi_i); the plain formula runs through the expanded
+    # quadratics of ReducedSystem.q_values
     rng = np.random.default_rng(33)
     for _ in range(20):
         d = int(rng.integers(1, 5))
@@ -168,19 +169,23 @@ def test_jacobian_singularity_tracks_hessian():
 # -- batched Newton in log-ratio coordinates ---------------------------------------
 
 
-def solve_batch_one_rung_at_a_time(solver, u0, config):
-    """Reference damped Newton whose line search tries one halving per call."""
+def solve_batch_one_rung_at_a_time(solver, u0, charts, config):
+    """Reference damped Newton whose line search tries one halving per call.
+
+    Like `_LogSolver.iterate`, it runs each row of log-ratios in its own
+    chart and returns the final rows with the mask of converged ones.
+    """
     u = np.array(u0, dtype=float)
     norms = np.full(u.shape[0], np.inf)
     finite = np.all(np.isfinite(u), axis=1)
     if np.any(finite):
-        norms[finite] = np.linalg.norm(solver.residual_batch(u[finite]), axis=1)
+        norms[finite] = np.linalg.norm(solver.residual_batch(u[finite], charts[finite]), axis=1)
     active = np.isfinite(norms) & (norms > solver._row_tols(u, config.newton_tol))
     for _ in range(config.newton_max_iter):
         if not np.any(active):
             break
         idx = np.flatnonzero(active)
-        s, jac = solver.residual_and_jacobian_batch(u[idx])
+        s, jac = solver.residual_and_jacobian_batch(u[idx], charts[idx])
         steps = np.linalg.solve(jac, -s[..., None])[..., 0]
         good = np.all(np.isfinite(steps), axis=1)
         active[idx[~good]] = False
@@ -190,78 +195,121 @@ def solve_batch_one_rung_at_a_time(solver, u0, config):
             if not len(pending):
                 break
             cand = u[pending] + scale[:, None] * steps
-            cand_norms = np.linalg.norm(solver.residual_batch(cand), axis=1)
+            cand_norms = np.linalg.norm(solver.residual_batch(cand, charts[pending]), axis=1)
             better = np.isfinite(cand_norms) & (cand_norms < norms[pending])
             u[pending[better]] = cand[better]
             norms[pending[better]] = cand_norms[better]
             pending, steps, scale = pending[~better], steps[~better], scale[~better] * 0.5
         active[pending] = False
         active &= norms > solver._row_tols(u, config.newton_tol)
-    converged = norms <= solver._row_tols(u, config.newton_tol)
-    return u[converged], int(np.count_nonzero(converged))
+    return u, norms <= solver._row_tols(u, config.newton_tol)
 
 
 def het_d6k5_solver(seed=41):
-    m = random_mixture(np.random.default_rng(seed), 6, 5)
-    return _LogSolver(build_reduced(m, reference=int(np.argmax(m.weights))))
+    return _LogSolver(random_mixture(np.random.default_rng(seed), 6, 5))
 
 
 def test_residual_rows_do_not_depend_on_batch():
     # BLAS matmul rounds a row differently with the number of rows beside it;
-    # the residual must not, or chunked and stacked solves drift apart
+    # the residual must not, or chunked and stacked solves drift apart.  Rows
+    # in different charts share the batch.
     solver = het_d6k5_solver()
-    u = np.random.default_rng(42).uniform(-6.0, 6.0, size=(200, 4))
-    stacked = solver.residual_batch(u)
+    rng = np.random.default_rng(42)
+    u = rng.uniform(-6.0, 6.0, size=(200, 5))
+    charts = rng.integers(0, 5, size=200)
+    stacked = solver.residual_batch(u, charts)
     for i in range(len(u)):
-        assert np.array_equal(stacked[i], solver.residual_batch(u[i:i + 1])[0]), i
-    s, jac = solver.residual_and_jacobian_batch(u)
+        assert np.array_equal(stacked[i], solver.residual_batch(u[i:i + 1], charts[i:i + 1])[0]), i
+    s, jac = solver.residual_and_jacobian_batch(u, charts)
     for i in (0, 77, 199):
-        s_i, jac_i = solver.residual_and_jacobian_batch(u[i:i + 1])
+        s_i, jac_i = solver.residual_and_jacobian_batch(u[i:i + 1], charts[i:i + 1])
         assert np.array_equal(s[i], s_i[0]) and np.array_equal(jac[i], jac_i[0])
+    # the chart's own residual entry and Newton-matrix row are exact
+    rows = np.arange(len(u))
+    assert np.all(s[rows, charts] == 0.0)
+    assert np.array_equal(jac[rows, charts], np.eye(5)[charts])
+
+
+def random_starts(rng, k, spread, n):
+    """Log-ratio rows uniform in [-spread, spread]^k, each in its argmax chart."""
+    u0 = rng.uniform(-spread, spread, size=(n, k))
+    charts = np.argmax(u0, axis=1)
+    return u0 - u0[np.arange(n), charts][:, None], charts
 
 
 def test_blocked_ladder_matches_one_rung_at_a_time():
     rng = np.random.default_rng(43)
-    # spreads chosen so that many rows halve deep into the ladder or give up
+    # spreads chosen so that many rows halve deep into the ladder or give up;
+    # 100 more rows start from seed points, as `solve_batch` starts them
     solvers = [
         (het_d6k5_solver(), 8.0),
-        (_LogSolver(build_reduced(random_mixture(rng, 3, 3), reference=0)), 5.0),
-        (_LogSolver(build_reduced(random_mixture(rng, 1, 4), reference=0)), 5.0),
+        (_LogSolver(random_mixture(rng, 3, 3)), 5.0),
+        (_LogSolver(random_mixture(rng, 1, 4)), 5.0),
     ]
     for solver, spread in solvers:
-        u0 = rng.uniform(-spread, spread, size=(300, solver.sys.n_free))
+        m = solver.mixture
+        u0, charts = random_starts(rng, m.n_components, spread, 300)
+        x0 = rng.uniform(m.means.min(axis=0) - spread, m.means.max(axis=0) + spread, size=(100, m.dim))
+        seed_u0, seed_charts = solver.chart_coords(x0)
+        u0, charts = np.concatenate([u0, seed_u0]), np.concatenate([charts, seed_charts])
         configs = (SolverConfig(), SolverConfig(max_halvings=60),
                    SolverConfig(max_halvings=5), SolverConfig(max_halvings=0))
         for config in configs:
-            roots, count = solver.solve_batch(u0, config)
-            ref_roots, ref_count = solve_batch_one_rung_at_a_time(solver, u0, config)
-            assert count == ref_count
-            assert np.array_equal(roots, ref_roots)
+            u, converged = solver.iterate(u0, charts, config)
+            ref_u, ref_converged = solve_batch_one_rung_at_a_time(solver, u0, charts, config)
+            assert np.array_equal(converged, ref_converged)
+            assert np.array_equal(u, ref_u)
+            roots, count = solver.solve_batch(x0, config)
+            assert count == np.count_nonzero(converged[300:])
+            assert np.array_equal(roots, solver.x_batch(u[300:][converged[300:]])[0])
 
 
 def test_stalled_rows_give_up_after_one_ladder():
     # rows that cannot lower |S| with 1/4096 of their Newton step sit in a
     # local minimum of |S| that is not a root; the default cap drops them
     # instead of letting them crawl through 60 rungs for 200 iterations
-    rng = np.random.default_rng(43)
-    u0 = rng.uniform(-8.0, 8.0, size=(300, 4))
+    u0, charts = random_starts(np.random.default_rng(43), 5, 8.0, 300)
     rows = []
     for config in (SolverConfig(), SolverConfig(max_halvings=60)):
         solver = het_d6k5_solver()
         inner = solver.residual_batch
         count = [0]
 
-        def counted(u, inner=inner, count=count):
+        def counted(u, charts, inner=inner, count=count):
             count[0] += len(u)
-            return inner(u)
+            return inner(u, charts)
 
         solver.residual_batch = counted
-        roots, n = solver.solve_batch(u0, config)
+        u, converged = solver.iterate(u0, charts, config)
+        roots, root_charts = u[converged], charts[converged]
         rows.append(count[0])
-        assert n == len(roots) > 0
-        norms = np.linalg.norm(inner(roots), axis=1)
+        assert len(roots) > 0
+        norms = np.linalg.norm(inner(roots, root_charts), axis=1)
         assert np.all(norms <= solver._row_tols(roots, config.newton_tol))
     assert rows[0] <= rows[1] / 3
+
+
+def test_antimode_starts_converge_in_their_dominant_chart():
+    # the padded witness seed_closure_bound(1, 6, simplex_family) realizes:
+    # in the chart of the largest weight (component 5, at 473.4) a start
+    # 1e-8 from either antimode has |S| of order 0.01-0.1 against a row
+    # tolerance near 1e-7, no rung of the ladder improves it, and it is
+    # dropped; in the chart of the start's dominant component it converges
+    m = Mixture.from_arrays(
+        [243, 81, 108, 144, 192, 256],
+        [[0.0], [15.0], [-37.5], [93.75], [-211.875], [473.4375]],
+        shared_covariance=np.eye(1),
+    )
+    solver = _LogSolver(m)
+    for root in (-124.68419998655692, 54.36768907309745):
+        x0 = np.array([[root + 1e-8]])
+        roots, count = solver.solve_batch(x0, SolverConfig())
+        assert count == 1
+        assert abs(roots[0, 0] - root) <= 1e-12 * abs(root)
+        terms, _ = solver.component_terms(x0)
+        in_chart_5 = terms - terms[:, 5:]
+        _, converged = solver.iterate(in_chart_5, np.array([5]), SolverConfig())
+        assert not converged[0]
 
 
 def test_halving_cap_keeps_critical_set():
@@ -367,7 +415,7 @@ def test_dedup_keeps_best_member_and_cluster_diameter():
     # 5e-7 is in the cluster but too far out to pass the gradient test
     saddle = [np.array([2e-10]), np.array([5e-7]), np.array([0.0]), np.array([-1e-10])]
     mode = [np.array([PAIR_MODE + 1e-12]), np.array([PAIR_MODE])]
-    points = _dedup_points(saddle + mode, m, SolverConfig(), build_reduced(m, reference=0))
+    points = _dedup_points(saddle + mode, m, SolverConfig(), reference=0)
     assert len(points) == 2
     centre, top = points
     residuals = {float(x[0]): classify(m, x).gradient_residual
