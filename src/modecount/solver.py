@@ -248,6 +248,9 @@ class _LogSolver:
         self.precisions = mixture.precisions
         self.pmeans = np.einsum("kij,kj->ki", self.precisions, self.means)
         self.log_wn = mixture.log_weights + mixture.log_norms
+        # the largest eigenvalue of any component precision, the mixture's
+        # curvature scale for the degeneracy test in `_classify_at`
+        self.curvature_scale = float(np.linalg.eigvalsh(self.precisions).max())
 
     def component_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """L(x) as a (B, k) batch, and A_i (x - mu_i) as (B, k, d), for (B, d) points."""
@@ -362,18 +365,27 @@ def _centre(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
     return values - values[np.arange(len(values)), charts][:, None]
 
 
-def _mean_shift_chain(mixture: Mixture, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Iterate the mean-shift map from x0; returns the chain's end point."""
-    x = np.asarray(x0, dtype=float)
+def _mean_shift_chains(solver: _LogSolver, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """Iterate the mean-shift map from each row of x0; returns the chains' end points.
+
+    The map is X(u) at u = L(x), so every running chain advances in one
+    `x_batch` call.  A row stops, without moving, on a non-finite step, and
+    stops after the step that moves it by at most 1e-10 (1 + |x|); each row
+    takes at most `mean_shift_max_iter` steps.
+    """
+    x = np.array(x0, dtype=float)
+    running = np.arange(len(x))
     for _ in range(config.mean_shift_max_iter):
-        x_next = mean_shift_step(mixture, x)
-        if not np.all(np.isfinite(x_next)):
+        if not len(running):
             break
-        # the end point only seeds the Newton stage, so a loose stop suffices
-        if np.linalg.norm(x_next - x) <= 1e-10 * (1.0 + np.linalg.norm(x)):
-            x = x_next
-            break
-        x = x_next
+        cur = x[running]
+        nxt = solver.x_batch(solver.component_terms(cur)[0])[0]
+        finite = np.all(np.isfinite(nxt), axis=1)
+        running, cur, nxt = running[finite], cur[finite], nxt[finite]
+        x[running] = nxt
+        # the end points only seed the Newton stage, so a loose stop suffices
+        moving = np.linalg.norm(nxt - cur, axis=1) > 1e-10 * (1.0 + np.linalg.norm(cur, axis=1))
+        running = running[moving]
     return x
 
 
@@ -617,7 +629,7 @@ def _classify_at(
     # Degeneracy is judged against the mixture's own curvature scale, not just
     # the largest eigenvalue at the point: a fully flat Hessian (all
     # eigenvalues near zero, e.g. a fold point in 1-d) must still register.
-    scale = max(float(abs_eigs.max()), float(np.linalg.eigvalsh(mixture.precisions).max()))
+    scale = max(float(abs_eigs.max()), solver.curvature_scale)
     eig_ratio = float(abs_eigs.min() / scale) if scale > 0.0 else 0.0
     ms_residual = float(np.linalg.norm(mean_shift_step(mixture, x) - x))
     reduced_coords = reduced_residual = reduced_reference = None
@@ -669,23 +681,27 @@ def _cluster(candidates: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, 
     representative r chosen before it that lies within tol * (1 + |r|), and
     otherwise becomes a representative itself.  Returns the representatives
     as rows and, for each candidate, the index of its representative.
+
+    The loop runs once per representative: the first unlabelled candidate
+    becomes the next one and labels every later unlabelled candidate within
+    its radius, which is the same assignment.
     """
     points = np.array(candidates, dtype=float)
+    order = np.lexsort(points.T[::-1])      # first coordinate is the primary key
+    ordered = points[order]
     labels = np.empty(len(points), dtype=int)
-    reps = np.empty_like(points)
-    radii = np.empty(len(points))
-    n = 0
-    for i in np.lexsort(points.T[::-1]):      # first coordinate is the primary key
-        x = points[i]
-        hits = np.flatnonzero(np.linalg.norm(reps[:n] - x, axis=1) <= radii[:n])
-        if len(hits):
-            labels[i] = hits[0]
-            continue
-        reps[n] = x
-        radii[n] = tol * (1.0 + np.linalg.norm(x))
-        labels[i] = n
-        n += 1
-    return reps[:n], labels
+    free = np.ones(len(points), dtype=bool)
+    chosen: list[int] = []
+    while free.any():
+        pos = int(np.argmax(free))          # every candidate before it is labelled
+        free[pos] = False
+        r = ordered[pos]
+        later = np.flatnonzero(free)
+        hits = later[np.linalg.norm(ordered[later] - r, axis=1) <= tol * (1.0 + np.linalg.norm(r))]
+        labels[order[pos]] = labels[order[hits]] = len(chosen)
+        free[hits] = False
+        chosen.append(pos)
+    return ordered[np.array(chosen, dtype=int)], labels
 
 
 def _dedup_points(
@@ -747,10 +763,12 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     chart of its dominant component (see `_LogSolver`), seeded from three
     sources: the end points of mean-shift chains started at every component
     mean, the pairwise mean midpoints, and restart rounds that reseed on
-    segments and chord brackets between the roots found so far.  Converged
-    roots are sharpened by Newton steps on the relative gradient,
-    deduplicated, and classified.  There is no completeness certificate;
-    the report carries start/drop diagnostics instead.
+    segments and chord brackets between the roots found so far.  The chains
+    all advance in one batch through the solver's own X(u) map (see
+    `_mean_shift_chains`).  Converged roots are sharpened by Newton steps on
+    the relative gradient, deduplicated, and classified.  There is no
+    completeness certificate; the report carries start/drop diagnostics
+    instead.
     """
     config = config or SolverConfig()
     d, k = mixture.dim, mixture.n_components
@@ -764,32 +782,33 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
         )
 
     solver = _LogSolver(mixture)
-    starts = [_mean_shift_chain(mixture, mean, config) for mean in mixture.means]
-    starts.extend(
-        0.5 * (mixture.means[i] + mixture.means[j]) for i in range(k) for j in range(i + 1, k)
-    )
+    first, second = np.triu_indices(k, 1)
+    starts = np.concatenate([
+        _mean_shift_chains(solver, mixture.means, config),
+        0.5 * (mixture.means[first] + mixture.means[second]),
+    ])
 
-    roots, n_converged = solver.solve_batch(np.array(starts), config)
+    roots, n_converged = solver.solve_batch(starts, config)
     reps, _ = _cluster(roots, config.dedup_tol)
     n_starts_total = len(starts)
 
     # Restart rounds: critical points the chains and midpoints miss (such as
     # tiny-responsibility saddles between far-apart modes) sit on segments
     # between found points, so reseed Newton there until the set stops growing.
+    ts = np.array([0.25, 0.5, 0.75])[None, :, None]
     for _ in range(5):
         if not len(reps):
             break
         anchors = np.concatenate([reps, mixture.means])
-        segment_starts = []
-        for i in range(len(reps)):
-            for j in range(i + 1, len(anchors)):
-                for t in (0.25, 0.5, 0.75):
-                    segment_starts.append((1.0 - t) * reps[i] + t * anchors[j])
-        segment_starts.extend(_chord_bracket_starts(solver, reps))
-        if not segment_starts:
-            break
+        # segment starts in the order (i, j, t), i < j
+        i, j = np.triu_indices(len(reps), 1, len(anchors))
+        segments = (1.0 - ts) * reps[i][:, None] + ts * anchors[j][:, None]
+        segment_starts = np.concatenate([
+            segments.reshape(-1, d),
+            np.reshape(_chord_bracket_starts(solver, reps), (-1, d)),
+        ])
         n_starts_total += len(segment_starts)
-        more_roots, more_converged = solver.solve_batch(np.array(segment_starts), config)
+        more_roots, more_converged = solver.solve_batch(segment_starts, config)
         n_converged += more_converged
         if not len(more_roots):
             break

@@ -18,13 +18,16 @@ from modecount import (
     morse_check,
     polish_critical,
     product,
+    realize_recipe,
     reduced_jacobian,
     residual_R,
+    seed_closure_bound,
+    simplex_family,
     solve_reduced_homoscedastic,
     x_of_y,
 )
 
-from modecount.solver import _cluster, _dedup_points, _LogSolver
+from modecount.solver import _cluster, _dedup_points, _LogSolver, _mean_shift_chains
 
 from conftest import random_mixture_1d, random_spd
 from test_acceptance import SWEEP_SEED
@@ -164,6 +167,50 @@ def test_jacobian_singularity_tracks_hessian():
     assert abs(np.linalg.det(reduced_jacobian(sys_deg, y0))) < 1e-10
     _, _, rel_hess = m_deg.relative_derivatives(np.zeros(1))
     assert abs(rel_hess[0, 0]) < 1e-12
+
+
+# -- mean-shift chains ---------------------------------------------------------------
+
+
+def mean_shift_chain_loop(mixture, x0, max_iter):
+    """Reference chain, one scalar `mean_shift_step` per step.
+
+    Stops without moving on a non-finite step, and after the step that moves
+    x by at most 1e-10 (1 + |x|).  Returns the end point and the step count.
+    """
+    x = np.asarray(x0, dtype=float)
+    for n in range(max_iter):
+        x_next = mean_shift_step(mixture, x)
+        if not np.all(np.isfinite(x_next)):
+            return x, n
+        if np.linalg.norm(x_next - x) <= 1e-10 * (1.0 + np.linalg.norm(x)):
+            return x_next, n + 1
+        x = x_next
+    return x, max_iter
+
+
+def test_batched_chains_match_one_row_batches_and_scalar_loop():
+    # the batched map X(L(x)) sums in another order than `mean_shift_step`,
+    # so the scalar oracle agrees to rounding; one-row batches agree exactly
+    rng = np.random.default_rng(49)
+    instances = [random_mixture(rng, int(rng.integers(1, 7)), int(rng.integers(2, 7))) for _ in range(20)]
+    _, recipe = seed_closure_bound(1, 6, simplex_family)
+    instances.append(realize_recipe(recipe)[0])           # remote padding, ratios near 1e66
+    for config in (SolverConfig(), SolverConfig(mean_shift_max_iter=5)):
+        lengths = []
+        for m in instances:
+            solver = _LogSolver(m)
+            first, second = np.triu_indices(m.n_components, 1)
+            x0 = np.concatenate([m.means, 0.5 * (m.means[first] + m.means[second])])
+            ends = _mean_shift_chains(solver, x0, config)
+            for x, end in zip(x0, ends):
+                assert np.array_equal(end, _mean_shift_chains(solver, x[None], config)[0])
+                want, steps = mean_shift_chain_loop(m, x, config.mean_shift_max_iter)
+                assert np.linalg.norm(end - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
+                lengths.append(steps)
+        assert max(lengths) <= config.mean_shift_max_iter
+        if config.mean_shift_max_iter == 500:
+            assert min(lengths) == 1 and max(lengths) >= 100
 
 
 # -- batched Newton in log-ratio coordinates ---------------------------------------
@@ -406,6 +453,14 @@ def test_cluster_representatives_matches_loop():
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert list(got_labels) == want_labels
+    # fold-shaped input: one degenerate root split into dozens of clusters
+    fold = rng.uniform(-1.5e-5, 1.5e-5, size=(3000, 1))
+    candidates = list(np.concatenate([fold, fold[rng.integers(0, 3000, size=300)]]))
+    got, got_labels = _cluster(candidates, 1e-6)
+    want, want_labels = cluster_representatives_loop(candidates, 1e-6)
+    assert len(got) == len(want) >= 10
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert list(got_labels) == want_labels
 
 
 def test_dedup_keeps_best_member_and_cluster_diameter():
