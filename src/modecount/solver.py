@@ -57,8 +57,9 @@ class SolverConfig:
     the row, see `_LogSolver`), relative dedup at 1e-6, degeneracy
     flagged below eigenvalue ratio 1e-8, and points accepted as critical
     when the density-relative gradient norm is below 1e-9.  The starts
-    and the Newton polish of the roots in the original coordinates are
-    fixed by `find_critical_points`, not configured here.
+    (component means, mean midpoints and chord starts) and the Newton
+    polish of the roots in the original coordinates are fixed by
+    `find_critical_points`, not configured here.
 
     The Newton line search halves a step at most `max_halvings` = 12 times
     and drops a start that no rung improves.  A start that cannot lower its
@@ -73,7 +74,6 @@ class SolverConfig:
     newton_max_iter: int = 200
     newton_tol: float = 1e-12
     max_halvings: int = 12
-    mean_shift_max_iter: int = 500
     dedup_tol: float = 1e-6
     degeneracy_tol: float = 1e-8
     grad_accept_tol: float = 1e-9
@@ -365,50 +365,23 @@ def _centre(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
     return values - values[np.arange(len(values)), charts][:, None]
 
 
-def _mean_shift_chains(solver: _LogSolver, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Iterate the mean-shift map from each row of x0; returns the chains' end points.
+def _chord_starts(solver: _LogSolver, reps: np.ndarray) -> np.ndarray:
+    """Restart seeds on the chords between found critical points, as (n, d) rows.
 
-    The map is X(u) at u = L(x), so every running chain advances in one
-    `x_batch` call.  A row stops, without moving, on a non-finite step, and
-    stops after the step that moves it by at most 1e-10 (1 + |x|); each row
-    takes at most `mean_shift_max_iter` steps.
+    Every chord contributes its points at t = 1/4, 1/2 and 3/4.  Along the
+    chord the directional slope of log-density also vanishes at every
+    critical point the chord passes by, and those roots can have Newton
+    basins far narrower than the quarter points reach (a remote component
+    shrinks interior basins drastically), so every interior sign change of
+    the slope on a 31-point grid is sharpened by batched bisection and
+    returned as a seed too.
     """
-    x = np.array(x0, dtype=float)
-    running = np.arange(len(x))
-    for _ in range(config.mean_shift_max_iter):
-        if not len(running):
-            break
-        cur = x[running]
-        nxt = solver.x_batch(solver.component_terms(cur)[0])[0]
-        finite = np.all(np.isfinite(nxt), axis=1)
-        running, cur, nxt = running[finite], cur[finite], nxt[finite]
-        x[running] = nxt
-        # the end points only seed the Newton stage, so a loose stop suffices
-        moving = np.linalg.norm(nxt - cur, axis=1) > 1e-10 * (1.0 + np.linalg.norm(cur, axis=1))
-        running = running[moving]
-    return x
-
-
-def _chord_bracket_starts(solver: _LogSolver, reps: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Seeds near critical points missed between found ones.
-
-    Along the chord between two critical points the directional slope of
-    log-density vanishes at every critical point the chord passes by, and
-    those roots can have Newton basins far narrower than the sampling used
-    elsewhere (a remote component shrinks interior basins drastically).
-    Every interior sign change is sharpened by batched bisection and
-    returned as a fresh Newton seed.
-    """
-    n = len(reps)
-    if n < 2:
-        return []
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    origins = np.stack([reps[i] for i, _ in pairs])
-    chords = np.stack([reps[j] for _, j in pairs]) - origins
+    d = reps.shape[1]
+    first, second = np.triu_indices(len(reps), 1)
+    origins = reps[first]
+    chords = reps[second] - origins
     keep = np.linalg.norm(chords, axis=1) > 0.0
     origins, chords = origins[keep], chords[keep]
-    if not len(origins):
-        return []
 
     def slopes(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
         terms, atimes = solver.component_terms(points)
@@ -416,31 +389,27 @@ def _chord_bracket_starts(solver: _LogSolver, reps: Sequence[np.ndarray]) -> lis
         rel_grad = -np.einsum("bk,bki->bi", w, atimes)
         return np.einsum("bi,bi->b", directions, rel_grad)
 
-    ts = np.linspace(0.0, 1.0, 33)[1:-1]
+    ts = np.linspace(0.0, 1.0, 33)[1:-1]        # slots 7, 15, 23 are t = 1/4, 1/2, 3/4
     grid = origins[:, None, :] + ts[None, :, None] * chords[:, None, :]
     vals = slopes(
-        grid.reshape(-1, grid.shape[-1]), np.repeat(chords, len(ts), axis=0)
+        grid.reshape(-1, d), np.repeat(chords, len(ts), axis=0)
     ).reshape(len(origins), len(ts))
 
-    seeds: list[np.ndarray] = []
-    zero_pair, zero_slot = np.nonzero(vals == 0.0)
-    seeds.extend(origins[p] + ts[s] * chords[p] for p, s in zip(zero_pair, zero_slot))
-
+    seeds = [grid[:, [7, 15, 23]].reshape(-1, d), grid[vals == 0.0]]
     pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
     if len(pair_idx):
         t_lo, t_hi = ts[slot], ts[slot + 1]
         f_lo = vals[pair_idx, slot]
-        a, d = origins[pair_idx], chords[pair_idx]
+        a, direction = origins[pair_idx], chords[pair_idx]
         for _ in range(40):
             t_mid = 0.5 * (t_lo + t_hi)
-            f_mid = slopes(a + t_mid[:, None] * d, d)
+            f_mid = slopes(a + t_mid[:, None] * direction, direction)
             same = (f_mid > 0.0) == (f_lo > 0.0)
             t_lo = np.where(same, t_mid, t_lo)
             f_lo = np.where(same, f_mid, f_lo)
             t_hi = np.where(same, t_hi, t_mid)
-        t_root = 0.5 * (t_lo + t_hi)
-        seeds.extend(a[i] + t_root[i] * d[i] for i in range(len(t_root)))
-    return seeds
+        seeds.append(a + (0.5 * (t_lo + t_hi))[:, None] * direction)
+    return np.concatenate(seeds)
 
 
 def _polish_newton(mixture: Mixture, x: np.ndarray) -> np.ndarray:
@@ -732,7 +701,9 @@ def _dedup_points(
         best = min(classified, key=lambda cp: cp.gradient_residual)
         diameter = float(np.linalg.norm(cluster[:, None] - cluster[None], axis=-1).max())
         points.append(replace(best, cluster_diameter=diameter))
-    points.sort(key=lambda p: tuple(p.location))
+    # rounded first, so mirror points whose coordinates tie to the last ulps
+    # keep their order under rounding-level changes in the solver
+    points.sort(key=lambda p: (tuple(np.round(p.location, 9)), tuple(p.location)))
     return points
 
 
@@ -761,12 +732,10 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
 
     Multistart damped Newton on the log-ratio system, each start in the
     chart of its dominant component (see `_LogSolver`), seeded from three
-    sources: the end points of mean-shift chains started at every component
-    mean, the pairwise mean midpoints, and restart rounds that reseed on
-    segments and chord brackets between the roots found so far.  The chains
-    all advance in one batch through the solver's own X(u) map (see
-    `_mean_shift_chains`).  Converged roots are sharpened by Newton steps on
-    the relative gradient, deduplicated, and classified.  There is no
+    sources: the component means, the pairwise mean midpoints, and restart
+    rounds that reseed on the chords between the roots found so far (see
+    `_chord_starts`).  Converged roots are sharpened by Newton steps on the
+    relative gradient, deduplicated, and classified.  There is no
     completeness certificate; the report carries start/drop diagnostics
     instead.
     """
@@ -783,32 +752,21 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
 
     solver = _LogSolver(mixture)
     first, second = np.triu_indices(k, 1)
-    starts = np.concatenate([
-        _mean_shift_chains(solver, mixture.means, config),
-        0.5 * (mixture.means[first] + mixture.means[second]),
-    ])
+    starts = np.concatenate([mixture.means, 0.5 * (mixture.means[first] + mixture.means[second])])
 
     roots, n_converged = solver.solve_batch(starts, config)
     reps, _ = _cluster(roots, config.dedup_tol)
     n_starts_total = len(starts)
 
-    # Restart rounds: critical points the chains and midpoints miss (such as
-    # tiny-responsibility saddles between far-apart modes) sit on segments
+    # Restart rounds: critical points the means and midpoints miss (such as
+    # tiny-responsibility saddles between far-apart modes) sit on chords
     # between found points, so reseed Newton there until the set stops growing.
-    ts = np.array([0.25, 0.5, 0.75])[None, :, None]
     for _ in range(5):
-        if not len(reps):
+        chord_starts = _chord_starts(solver, reps)
+        if not len(chord_starts):
             break
-        anchors = np.concatenate([reps, mixture.means])
-        # segment starts in the order (i, j, t), i < j
-        i, j = np.triu_indices(len(reps), 1, len(anchors))
-        segments = (1.0 - ts) * reps[i][:, None] + ts * anchors[j][:, None]
-        segment_starts = np.concatenate([
-            segments.reshape(-1, d),
-            np.reshape(_chord_bracket_starts(solver, reps), (-1, d)),
-        ])
-        n_starts_total += len(segment_starts)
-        more_roots, more_converged = solver.solve_batch(segment_starts, config)
+        n_starts_total += len(chord_starts)
+        more_roots, more_converged = solver.solve_batch(chord_starts, config)
         n_converged += more_converged
         if not len(more_roots):
             break

@@ -18,16 +18,13 @@ from modecount import (
     morse_check,
     polish_critical,
     product,
-    realize_recipe,
     reduced_jacobian,
     residual_R,
-    seed_closure_bound,
-    simplex_family,
     solve_reduced_homoscedastic,
     x_of_y,
 )
 
-from modecount.solver import _cluster, _dedup_points, _LogSolver, _mean_shift_chains
+from modecount.solver import _cluster, _dedup_points, _LogSolver
 
 from conftest import random_mixture_1d, random_spd
 from test_acceptance import SWEEP_SEED
@@ -167,50 +164,6 @@ def test_jacobian_singularity_tracks_hessian():
     assert abs(np.linalg.det(reduced_jacobian(sys_deg, y0))) < 1e-10
     _, _, rel_hess = m_deg.relative_derivatives(np.zeros(1))
     assert abs(rel_hess[0, 0]) < 1e-12
-
-
-# -- mean-shift chains ---------------------------------------------------------------
-
-
-def mean_shift_chain_loop(mixture, x0, max_iter):
-    """Reference chain, one scalar `mean_shift_step` per step.
-
-    Stops without moving on a non-finite step, and after the step that moves
-    x by at most 1e-10 (1 + |x|).  Returns the end point and the step count.
-    """
-    x = np.asarray(x0, dtype=float)
-    for n in range(max_iter):
-        x_next = mean_shift_step(mixture, x)
-        if not np.all(np.isfinite(x_next)):
-            return x, n
-        if np.linalg.norm(x_next - x) <= 1e-10 * (1.0 + np.linalg.norm(x)):
-            return x_next, n + 1
-        x = x_next
-    return x, max_iter
-
-
-def test_batched_chains_match_one_row_batches_and_scalar_loop():
-    # the batched map X(L(x)) sums in another order than `mean_shift_step`,
-    # so the scalar oracle agrees to rounding; one-row batches agree exactly
-    rng = np.random.default_rng(49)
-    instances = [random_mixture(rng, int(rng.integers(1, 7)), int(rng.integers(2, 7))) for _ in range(20)]
-    _, recipe = seed_closure_bound(1, 6, simplex_family)
-    instances.append(realize_recipe(recipe)[0])           # remote padding, ratios near 1e66
-    for config in (SolverConfig(), SolverConfig(mean_shift_max_iter=5)):
-        lengths = []
-        for m in instances:
-            solver = _LogSolver(m)
-            first, second = np.triu_indices(m.n_components, 1)
-            x0 = np.concatenate([m.means, 0.5 * (m.means[first] + m.means[second])])
-            ends = _mean_shift_chains(solver, x0, config)
-            for x, end in zip(x0, ends):
-                assert np.array_equal(end, _mean_shift_chains(solver, x[None], config)[0])
-                want, steps = mean_shift_chain_loop(m, x, config.mean_shift_max_iter)
-                assert np.linalg.norm(end - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
-                lengths.append(steps)
-        assert max(lengths) <= config.mean_shift_max_iter
-        if config.mean_shift_max_iter == 500:
-            assert min(lengths) == 1 and max(lengths) >= 100
 
 
 # -- batched Newton in log-ratio coordinates ---------------------------------------
@@ -398,8 +351,8 @@ START_SOURCE_BATTERY_COUNTS = [
 
 
 def test_start_sources_keep_critical_set():
-    # chain end points, mean midpoints and the restart rounds find every
-    # root the lattice and the chain samples used to find
+    # the means, mean midpoints and chord starts find every root the
+    # lattice, the mean-shift chains and their samples used to find
     rng = np.random.default_rng(5151)
     battery = [random_mixture_1d(rng, k_max=6) for _ in range(12)]
     battery += [random_mixture(rng, d, k) for d in (2, 4, 6) for k in (2, 4, 6)]
@@ -413,9 +366,21 @@ def test_start_sources_keep_critical_set():
         report = find_critical_points(m)
         found.append((report.n_critical, report.counts_by_index, report.all_nondegenerate))
     assert found == START_SOURCE_BATTERY_COUNTS
-    # 1,105 starts with the lattice and the chain samples
+    # 225 starts with the mean-shift chains and the segments to the means
     report = find_critical_points(random_mixture(np.random.default_rng(47), 6, 6))
-    assert report.n_starts <= 1105 // 2
+    assert report.n_starts <= 225 // 2
+
+
+def test_chord_quarter_points_find_every_root():
+    # highdim pool 104, het_d6k6_1: the chord brackets alone find 6 of the
+    # 7 critical points, and that report fails the Morse check
+    rng = np.random.default_rng(104)
+    random_mixture(rng, 6, 6)
+    report = find_critical_points(random_mixture(rng, 6, 6))
+    assert report.n_critical == 7
+    assert report.counts_by_index == {5: 3, 6: 4}
+    assert report.morse_inequality_ok
+    assert report.n_starts <= 200      # 386 with the mean-shift chains and the segments to the means
 
 
 def cluster_representatives_loop(candidates, tol):
@@ -481,6 +446,17 @@ def test_dedup_keeps_best_member_and_cluster_diameter():
     best_mode = min(mode, key=lambda x: classify(m, x).gradient_residual)
     assert np.array_equal(top.location, best_mode)
     assert top.cluster_diameter == pytest.approx(1e-12, rel=1e-3)
+
+
+def test_dedup_orders_mirror_points_by_rounded_location():
+    # mirror points whose first coordinates differ in the last ulp keep the
+    # order of their second coordinates, whichever first coordinate is larger
+    m = product(pair_mixture_1d(), pair_mixture_1d())
+    nudged = np.nextafter(PAIR_MODE, np.inf)
+    for upper, lower in ((PAIR_MODE, nudged), (nudged, PAIR_MODE)):
+        candidates = [np.array([upper, PAIR_MODE]), np.array([lower, -PAIR_MODE])]
+        points = _dedup_points(candidates, m, SolverConfig(), reference=0)
+        assert [float(p.location[1]) for p in points] == [-PAIR_MODE, PAIR_MODE]
 
 
 # -- critical point search ----------------------------------------------------------
