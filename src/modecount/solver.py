@@ -43,11 +43,6 @@ __all__ = [
     "morse_check",
 ]
 
-# First rung of each block of the Newton line-search ladder; the last block
-# runs to `SolverConfig.max_halvings`.
-_LADDER_EDGES = (0, 1, 2, 4, 8, 16, 32)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and search parameters for `find_critical_points`.
@@ -61,14 +56,17 @@ class SolverConfig:
     polish of the roots in the original coordinates are fixed by
     `find_critical_points`, not configured here.
 
-    The Newton line search halves a step at most `max_halvings` = 12 times
-    and drops a start that no rung improves.  A start that cannot lower its
-    residual with 1/4096 of its Newton step has slid into a local minimum
-    of the residual norm that is not a root, where the Jacobian turns
-    singular; deeper rungs only let it crawl on rounding-noise decreases
-    for up to `newton_max_iter` steps.  The cap drops those starts after one
-    ladder; on the benchmark's instances it changed no count of critical
-    points, modes or indices, only how many starts converge.
+    The Newton line search tries `max_halvings` = 12 rungs, the Newton step
+    scaled by 1, 1/2, ..., 1/2048, takes the first that lowers the residual
+    norm, and drops a start that no rung improves.  `_LogSolver.iterate`
+    evaluates the full step together with its Newton matrix and the other
+    rungs in one stacked call.  A start that cannot lower its residual with
+    1/2048 of its Newton step has slid into a local minimum of the residual
+    norm that is not a root, where the Jacobian turns singular; deeper rungs
+    only let it crawl on rounding-noise decreases for up to
+    `newton_max_iter` steps.  The cap drops those starts after one ladder;
+    on the benchmark's instances it changed no count of critical points,
+    modes or indices, only how many starts converge.
     """
 
     newton_max_iter: int = 200
@@ -238,8 +236,10 @@ class _LogSolver:
     from the root.
 
     Every reduction runs along one row (einsum rather than BLAS matmul, whose
-    rounding depends on the batch shape), so a row's residual, and hence its
-    Newton path, does not depend on which other rows share its batch.
+    rounding depends on the batch shape), so a row's residual and Newton
+    matrix, and hence its Newton path, do not depend on which other rows
+    share its batch.  `iterate` relies on that when it carries a row's
+    matrix from the batch of one step into the next.
     """
 
     def __init__(self, mixture: Mixture):
@@ -304,28 +304,39 @@ class _LogSolver:
     def iterate(self, u0: np.ndarray, charts: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
         """Damped Newton on every row of log-ratios u0 in its chart.
 
+        Each row carries its residual S and Newton matrix at its current u.
+        The full step is evaluated together with its Newton matrix, so a row
+        that accepts it starts its next step without another call; a row
+        that accepts a shorter step gets its matrix in one more call.
         Returns the final rows and the mask of those that converged.
         """
         u = np.array(u0, dtype=float)
-        norms = np.full(u.shape[0], np.inf)
+        n, k = u.shape
+        s = np.full((n, k), np.nan)
+        jac = np.full((n, k, k), np.nan)
+        stale = np.zeros(n, dtype=bool)       # rows whose s and jac are not taken at u
+        norms = np.full(n, np.inf)
         finite = np.all(np.isfinite(u), axis=1)
         if np.any(finite):
-            norms[finite] = np.linalg.norm(self.residual_batch(u[finite], charts[finite]), axis=1)
+            s[finite], jac[finite] = self.residual_and_jacobian_batch(u[finite], charts[finite])
+            norms[finite] = np.linalg.norm(s[finite], axis=1)
         active = np.isfinite(norms) & (norms > self._row_tols(u, config.newton_tol))
-        edges = [e for e in _LADDER_EDGES if e < config.max_halvings] + [config.max_halvings]
 
         for _ in range(config.newton_max_iter):
             if not np.any(active):
                 break
+            renew = np.flatnonzero(active & stale)
+            if len(renew):
+                s[renew], jac[renew] = self.residual_and_jacobian_batch(u[renew], charts[renew])
+                stale[renew] = False
             idx = np.flatnonzero(active)
-            s, jac = self.residual_and_jacobian_batch(u[idx], charts[idx])
-            steps = np.full_like(s, np.nan)
+            steps = np.full((len(idx), k), np.nan)
             try:
-                steps = np.linalg.solve(jac, -s[..., None])[..., 0]
+                steps = np.linalg.solve(jac[idx], -s[idx][..., None])[..., 0]
             except np.linalg.LinAlgError:
-                for row in range(len(idx)):
+                for row, i in enumerate(idx):
                     try:
-                        steps[row] = np.linalg.solve(jac[row], -s[row])
+                        steps[row] = np.linalg.solve(jac[i], -s[i])
                     except np.linalg.LinAlgError:
                         pass
             good = np.all(np.isfinite(steps), axis=1)
@@ -334,26 +345,34 @@ class _LogSolver:
             pending = idx[good]
             steps = steps[good]
             # Halving ladder: rung j tries the step scaled by 2^-j, and a row
-            # takes its first improving rung.  The rungs are evaluated in
-            # blocks of doubling length, one stacked residual call per block,
+            # takes its first improving rung.  Rung 0, the full step, is
+            # evaluated with its Newton matrix.  The rows it does not improve
+            # try rungs 1 ... max_halvings - 1 in one stacked residual call,
             # which accepts exactly what trying them one at a time would.
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                if not len(pending):
-                    break
-                scales = np.ldexp(1.0, -np.arange(lo, hi))
+            if config.max_halvings >= 1 and len(pending):
+                cand = u[pending] + steps
+                cand_s, cand_jac = self.residual_and_jacobian_batch(cand, charts[pending])
+                cand_norms = np.linalg.norm(cand_s, axis=1)
+                better = np.isfinite(cand_norms) & (cand_norms < norms[pending])
+                took = pending[better]
+                u[took], norms[took] = cand[better], cand_norms[better]
+                s[took], jac[took] = cand_s[better], cand_jac[better]
+                pending, steps = pending[~better], steps[~better]
+            if config.max_halvings >= 2 and len(pending):
+                scales = np.ldexp(1.0, -np.arange(1, config.max_halvings))
                 cand = u[pending][:, None, :] + scales[None, :, None] * steps[:, None, :]
                 cand_norms = np.linalg.norm(
-                    self.residual_batch(cand.reshape(-1, u.shape[1]), np.repeat(charts[pending], hi - lo)),
+                    self.residual_batch(cand.reshape(-1, k), np.repeat(charts[pending], len(scales))),
                     axis=1,
-                ).reshape(len(pending), hi - lo)
+                ).reshape(len(pending), len(scales))
                 better = np.isfinite(cand_norms) & (cand_norms < norms[pending][:, None])
                 hit = better.any(axis=1)
                 rows = np.flatnonzero(hit)
                 rung = better[rows].argmax(axis=1)
-                u[pending[rows]] = cand[rows, rung]
-                norms[pending[rows]] = cand_norms[rows, rung]
+                took = pending[rows]
+                u[took], norms[took] = cand[rows, rung], cand_norms[rows, rung]
+                stale[took] = True
                 pending = pending[~hit]
-                steps = steps[~hit]
             active[pending] = False          # no improving step: give up on these
             active &= norms > self._row_tols(u, config.newton_tol)
 
@@ -373,8 +392,14 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray) -> np.ndarray:
     critical point the chord passes by, and those roots can have Newton
     basins far narrower than the quarter points reach (a remote component
     shrinks interior basins drastically), so every interior sign change of
-    the slope on a 31-point grid is sharpened by batched bisection and
+    the slope on a 31-point grid is sharpened by 40 bisection halvings and
     returned as a seed too.
+
+    The halvings run in rounds of m (see `_halvings_per_round`): one slope
+    call evaluates each bracket at all 2^m - 1 dyadic points that its next m
+    halvings can visit, and the halvings are then replayed on those values.
+    Every t is a dyadic rational with denominator at most 2^45, exact in
+    floating point, so the seeds are bit-identical to one halving per call.
     """
     d = reps.shape[1]
     first, second = np.triu_indices(len(reps), 1)
@@ -398,18 +423,44 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray) -> np.ndarray:
     seeds = [grid[:, [7, 15, 23]].reshape(-1, d), grid[vals == 0.0]]
     pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
     if len(pair_idx):
-        t_lo, t_hi = ts[slot], ts[slot + 1]
+        t_lo, width = ts[slot], ts[slot + 1] - ts[slot]
         f_lo = vals[pair_idx, slot]
         a, direction = origins[pair_idx], chords[pair_idx]
-        for _ in range(40):
-            t_mid = 0.5 * (t_lo + t_hi)
-            f_mid = slopes(a + t_mid[:, None] * direction, direction)
-            same = (f_mid > 0.0) == (f_lo > 0.0)
-            t_lo = np.where(same, t_mid, t_lo)
-            f_lo = np.where(same, f_mid, f_lo)
-            t_hi = np.where(same, t_hi, t_mid)
-        seeds.append(a + (0.5 * (t_lo + t_hi))[:, None] * direction)
+        rows = np.arange(len(pair_idx))
+        per_round, left = _halvings_per_round(len(pair_idx)), 40
+        while left:
+            m = min(per_round, left)
+            # the 2^m - 1 dyadic points that the next m halvings can visit
+            ts_round = t_lo[:, None] + np.ldexp(np.arange(1, 2 ** m), -m)[None, :] * width[:, None]
+            f_round = slopes(
+                (a[:, None, :] + ts_round[..., None] * direction[:, None, :]).reshape(-1, d),
+                np.repeat(direction, 2 ** m - 1, axis=0),
+            ).reshape(len(pair_idx), 2 ** m - 1)
+            lo = np.zeros(len(pair_idx), dtype=int)     # bracket [lo, lo + span] in units of 2^-m
+            for span in 2 ** np.arange(m - 1, -1, -1):
+                f_mid = f_round[rows, lo + span - 1]
+                same = (f_mid > 0.0) == (f_lo > 0.0)
+                lo = np.where(same, lo + span, lo)
+                f_lo = np.where(same, f_mid, f_lo)
+            t_lo = t_lo + np.ldexp(lo.astype(float), -m) * width
+            width = np.ldexp(width, -m)
+            left -= m
+        seeds.append(a + (t_lo + 0.5 * width)[:, None] * direction)
     return np.concatenate(seeds)
+
+
+def _halvings_per_round(n_brackets: int) -> int:
+    """Bisection halvings per slope call in `_chord_starts`, from 1 to 5.
+
+    A round of m halvings evaluates 2^m - 1 points per bracket; m is the
+    largest that keeps a call at 256 rows or fewer.  Few brackets (a 1-d
+    solve has one or two) take 5 halvings per call; thousands of brackets
+    take one, where more would evaluate points the bisection never uses.
+    """
+    m = 1
+    while m < 5 and n_brackets * (2 ** (m + 1) - 1) <= 256:
+        m += 1
+    return m
 
 
 def _polish_newton(mixture: Mixture, x: np.ndarray) -> np.ndarray:
@@ -674,7 +725,7 @@ def _cluster(candidates: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, 
 
 
 def _dedup_points(
-    candidates: list[np.ndarray], mixture: Mixture, config: SolverConfig, reference: int
+    candidates: list[np.ndarray], solver: _LogSolver, config: SolverConfig, reference: int
 ) -> list[CriticalPoint]:
     """Cluster near-identical locations; keep each cluster's best-classified member.
 
@@ -686,7 +737,6 @@ def _dedup_points(
     members = np.array(candidates)
     members = members[np.lexsort(members.T[::-1])]      # so `min` keeps the first on ties
     _, labels = _cluster(members, config.dedup_tol)
-    solver = _LogSolver(mixture)
     points: list[CriticalPoint] = []
     for label in range(labels.max() + 1):
         cluster = members[labels == label]
@@ -776,20 +826,21 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
         reps = merged
 
     candidates = [_polish_newton(mixture, x) for x in reps]
-    return _assemble_report(mixture, candidates, config,
+    return _assemble_report(solver, candidates, config,
                             n_starts=n_starts_total, n_converged=n_converged)
 
 
 def _assemble_report(
-    mixture: Mixture,
+    solver: _LogSolver,
     candidates: list[np.ndarray],
     config: SolverConfig,
     n_starts: int,
     n_converged: int,
 ) -> SolveReport:
+    mixture = solver.mixture
     d, k = mixture.dim, mixture.n_components
     reference = int(np.argmax(mixture.weights))
-    points = _dedup_points(candidates, mixture, config, reference)
+    points = _dedup_points(candidates, solver, config, reference)
 
     n = len(points)
     n_modes = sum(1 for p in points if p.is_mode)
@@ -850,7 +901,7 @@ def solve_reduced_homoscedastic(mixture: Mixture, config: SolverConfig | None = 
     for p in inner.points:
         z = np.concatenate([p.location, np.zeros(d - r)])
         candidates.append(_polish_newton(mixture, amap.inverse(z)))
-    return _assemble_report(mixture, candidates, config,
+    return _assemble_report(_LogSolver(mixture), candidates, config,
                             n_starts=inner.n_starts, n_converged=inner.n_converged)
 
 

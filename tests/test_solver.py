@@ -24,7 +24,8 @@ from modecount import (
     x_of_y,
 )
 
-from modecount.solver import _cluster, _dedup_points, _LogSolver
+from modecount.mixture import logsumexp
+from modecount.solver import _chord_starts, _cluster, _dedup_points, _halvings_per_round, _LogSolver
 
 from conftest import random_mixture_1d, random_spd
 from test_acceptance import SWEEP_SEED
@@ -220,10 +221,12 @@ def test_residual_rows_do_not_depend_on_batch():
     stacked = solver.residual_batch(u, charts)
     for i in range(len(u)):
         assert np.array_equal(stacked[i], solver.residual_batch(u[i:i + 1], charts[i:i + 1])[0]), i
+    # `iterate` carries a row's Newton matrix from the batch of its full step
+    # into its next step, so every row of the matrix must match too
     s, jac = solver.residual_and_jacobian_batch(u, charts)
-    for i in (0, 77, 199):
+    for i in range(len(u)):
         s_i, jac_i = solver.residual_and_jacobian_batch(u[i:i + 1], charts[i:i + 1])
-        assert np.array_equal(s[i], s_i[0]) and np.array_equal(jac[i], jac_i[0])
+        assert np.array_equal(s[i], s_i[0]) and np.array_equal(jac[i], jac_i[0]), i
     # the chart's own residual entry and Newton-matrix row are exact
     rows = np.arange(len(u))
     assert np.all(s[rows, charts] == 0.0)
@@ -264,8 +267,24 @@ def test_blocked_ladder_matches_one_rung_at_a_time():
             assert np.array_equal(roots, solver.x_batch(u[300:][converged[300:]])[0])
 
 
+def counting_residual_calls(solver):
+    """Wrap the solver's two residual evaluations; returns {name: [calls, rows]}."""
+    counts = {}
+    for name in ("residual_batch", "residual_and_jacobian_batch"):
+        inner = getattr(solver, name)
+        counts[name] = [0, 0]
+
+        def counted(u, charts, inner=inner, count=counts[name]):
+            count[0] += 1
+            count[1] += len(u)
+            return inner(u, charts)
+
+        setattr(solver, name, counted)
+    return counts
+
+
 def test_stalled_rows_give_up_after_one_ladder():
-    # rows that cannot lower |S| with 1/4096 of their Newton step sit in a
+    # rows that cannot lower |S| with 1/2048 of their Newton step sit in a
     # local minimum of |S| that is not a root; the default cap drops them
     # instead of letting them crawl through 60 rungs for 200 iterations
     u0, charts = random_starts(np.random.default_rng(43), 5, 8.0, 300)
@@ -273,20 +292,49 @@ def test_stalled_rows_give_up_after_one_ladder():
     for config in (SolverConfig(), SolverConfig(max_halvings=60)):
         solver = het_d6k5_solver()
         inner = solver.residual_batch
-        count = [0]
-
-        def counted(u, charts, inner=inner, count=count):
-            count[0] += len(u)
-            return inner(u, charts)
-
-        solver.residual_batch = counted
+        counts = counting_residual_calls(solver)
         u, converged = solver.iterate(u0, charts, config)
         roots, root_charts = u[converged], charts[converged]
-        rows.append(count[0])
+        rows.append(sum(rows_seen for _, rows_seen in counts.values()))
         assert len(roots) > 0
         norms = np.linalg.norm(inner(roots, root_charts), axis=1)
         assert np.all(norms <= solver._row_tols(roots, config.newton_tol))
     assert rows[0] <= rows[1] / 3
+
+
+def test_full_steps_reuse_their_newton_matrix():
+    # rows started next to roots accept every full Newton step, and a full
+    # step is evaluated with its Newton matrix: one residual_and_jacobian
+    # call per iteration plus the initial one, and no residual_batch call
+    for m in (het_d6k5_solver().mixture, product(pair_mixture_1d(), pair_mixture_1d())):
+        roots = np.array([p.location for p in find_critical_points(m).points])
+        rng = np.random.default_rng(45)
+        for offset in (1e-8, 1e-3):
+            x0 = roots + offset * rng.standard_normal(roots.shape)
+            reference = _LogSolver(m)
+            u0, charts = reference.chart_coords(x0)
+            ref_counts = counting_residual_calls(reference)
+            ref_u, ref_converged = solve_batch_one_rung_at_a_time(reference, u0, charts, SolverConfig())
+            iterations = ref_counts["residual_and_jacobian_batch"][0]
+            # the reference tries one rung per iteration: every full step is taken
+            assert ref_counts["residual_batch"][0] == iterations + 1
+            assert ref_converged.all()
+            solver = _LogSolver(m)
+            counts = counting_residual_calls(solver)
+            u, converged = solver.iterate(u0, charts, SolverConfig())
+            assert counts["residual_and_jacobian_batch"][0] == iterations + 1
+            assert counts["residual_batch"][0] == 0
+            assert np.array_equal(u, ref_u) and np.array_equal(converged, ref_converged)
+        assert iterations >= 2
+
+
+def padded_d1k6_mixture():
+    """The padded witness that seed_closure_bound(1, 6, simplex_family) realizes."""
+    return Mixture.from_arrays(
+        [243, 81, 108, 144, 192, 256],
+        [[0.0], [15.0], [-37.5], [93.75], [-211.875], [473.4375]],
+        shared_covariance=np.eye(1),
+    )
 
 
 def test_antimode_starts_converge_in_their_dominant_chart():
@@ -295,12 +343,7 @@ def test_antimode_starts_converge_in_their_dominant_chart():
     # 1e-8 from either antimode has |S| of order 0.01-0.1 against a row
     # tolerance near 1e-7, no rung of the ladder improves it, and it is
     # dropped; in the chart of the start's dominant component it converges
-    m = Mixture.from_arrays(
-        [243, 81, 108, 144, 192, 256],
-        [[0.0], [15.0], [-37.5], [93.75], [-211.875], [473.4375]],
-        shared_covariance=np.eye(1),
-    )
-    solver = _LogSolver(m)
+    solver = _LogSolver(padded_d1k6_mixture())
     for root in (-124.68419998655692, 54.36768907309745):
         x0 = np.array([[root + 1e-8]])
         roots, count = solver.solve_batch(x0, SolverConfig())
@@ -383,6 +426,64 @@ def test_chord_quarter_points_find_every_root():
     assert report.n_starts <= 200      # 386 with the mean-shift chains and the segments to the means
 
 
+def chord_starts_one_halving_at_a_time(solver, reps):
+    """Reference chord starts whose bisection evaluates one midpoint per call.
+
+    Returns the seeds, in the order `_chord_starts` returns them, and the
+    number of slope brackets that were bisected.
+    """
+    d = reps.shape[1]
+    first, second = np.triu_indices(len(reps), 1)
+    origins = reps[first]
+    chords = reps[second] - origins
+    keep = np.linalg.norm(chords, axis=1) > 0.0
+    origins, chords = origins[keep], chords[keep]
+
+    def slopes(points, directions):
+        terms, atimes = solver.component_terms(points)
+        w = np.exp(terms - logsumexp(terms, axis=1, keepdims=True))
+        return np.einsum("bi,bi->b", directions, -np.einsum("bk,bki->bi", w, atimes))
+
+    ts = np.linspace(0.0, 1.0, 33)[1:-1]
+    grid = origins[:, None, :] + ts[None, :, None] * chords[:, None, :]
+    vals = slopes(grid.reshape(-1, d), np.repeat(chords, len(ts), axis=0)).reshape(len(origins), len(ts))
+    seeds = [grid[:, [7, 15, 23]].reshape(-1, d), grid[vals == 0.0]]
+    pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    if len(pair_idx):
+        t_lo, t_hi = ts[slot], ts[slot + 1]
+        f_lo = vals[pair_idx, slot]
+        a, direction = origins[pair_idx], chords[pair_idx]
+        for _ in range(40):
+            t_mid = 0.5 * (t_lo + t_hi)
+            f_mid = slopes(a + t_mid[:, None] * direction, direction)
+            same = (f_mid > 0.0) == (f_lo > 0.0)
+            t_lo = np.where(same, t_mid, t_lo)
+            f_lo = np.where(same, f_mid, f_lo)
+            t_hi = np.where(same, t_hi, t_mid)
+        seeds.append(a + (0.5 * (t_lo + t_hi))[:, None] * direction)
+    return np.concatenate(seeds), len(pair_idx)
+
+
+def test_chord_starts_match_one_halving_at_a_time():
+    # the bisection rounds replay 40 halvings on slopes evaluated at every
+    # dyadic point they can visit, so each seed is bit-identical
+    sweep0 = random_mixture_1d(np.random.default_rng(SWEEP_SEED))
+    d1k6 = padded_d1k6_mixture()
+    d1k6_roots = np.array([p.location for p in find_critical_points(d1k6).points])
+    cases = [
+        (sweep0, None, 5),                 # one bracket
+        (d1k6, None, 1),                   # 145 brackets
+        (d1k6, d1k6_roots[:6], 3),         # 20 brackets: 13 rounds of 3, then one of 1
+    ]
+    for m, reps, per_round in cases:
+        if reps is None:
+            reps = np.array([p.location for p in find_critical_points(m).points])
+        solver = _LogSolver(m)
+        want, n_brackets = chord_starts_one_halving_at_a_time(solver, reps)
+        assert n_brackets > 0 and _halvings_per_round(n_brackets) == per_round
+        assert np.array_equal(_chord_starts(solver, reps), want)
+
+
 def cluster_representatives_loop(candidates, tol):
     """Reference greedy clustering: plain Python loop over representatives.
 
@@ -435,7 +536,7 @@ def test_dedup_keeps_best_member_and_cluster_diameter():
     # 5e-7 is in the cluster but too far out to pass the gradient test
     saddle = [np.array([2e-10]), np.array([5e-7]), np.array([0.0]), np.array([-1e-10])]
     mode = [np.array([PAIR_MODE + 1e-12]), np.array([PAIR_MODE])]
-    points = _dedup_points(saddle + mode, m, SolverConfig(), reference=0)
+    points = _dedup_points(saddle + mode, _LogSolver(m), SolverConfig(), reference=0)
     assert len(points) == 2
     centre, top = points
     residuals = {float(x[0]): classify(m, x).gradient_residual
@@ -455,7 +556,7 @@ def test_dedup_orders_mirror_points_by_rounded_location():
     nudged = np.nextafter(PAIR_MODE, np.inf)
     for upper, lower in ((PAIR_MODE, nudged), (nudged, PAIR_MODE)):
         candidates = [np.array([upper, PAIR_MODE]), np.array([lower, -PAIR_MODE])]
-        points = _dedup_points(candidates, m, SolverConfig(), reference=0)
+        points = _dedup_points(candidates, _LogSolver(m), SolverConfig(), reference=0)
         assert [float(p.location[1]) for p in points] == [-PAIR_MODE, PAIR_MODE]
 
 
