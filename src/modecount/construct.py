@@ -380,8 +380,8 @@ def realize_recipe(
     recipe.lift_to dimensions, then remote-padded with recipe.pad extra
     components.  The solver must confirm at least recipe.value modes; a
     shortfall raises RecipeVerificationError carrying the achieved count.
-    So does a nondegenerate final report that fails the Morse inequalities,
-    since such a report has missed critical points and its mode count
+    So does a nondegenerate final report that fails the Morse inequalities
+    or the Morse equality, since such a report has missed critical points and its mode count
     certifies nothing.  Near-degenerate outcomes get one tilt-polish pass
     before the verdict.
 
@@ -434,11 +434,12 @@ def realize_recipe(
             "grad_accept_tol": config.grad_accept_tol,
         },
     }
-    if report.all_nondegenerate and not report.morse_inequality_ok:
+    if report.all_nondegenerate and not (report.morse_inequality_ok and report.morse_equality_ok):
         raise RecipeVerificationError(
             recipe.value, achieved,
-            "witness report fails the Morse check M <= floor((N+1)/2), C_(d-1) >= M-1 "
-            f"with N={report.n_critical}, M={achieved}, C_(d-1)={report.n_index_dminus1}, "
+            "witness report fails the Morse check M <= floor((N+1)/2), C_(d-1) >= M-1, "
+            f"sum_i (-1)^(d-i) c_i = 1 with N={report.n_critical}, M={achieved}, "
+            f"C_(d-1)={report.n_index_dminus1}, c={report.counts_by_index}, "
             "so the solver missed critical points",
         )
     if achieved < recipe.value:

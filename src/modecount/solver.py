@@ -6,13 +6,15 @@ ratios against a reference component, and any component can be that
 reference.  This module builds that system for one reference
 (`ReducedSystem`), solves it with a deterministic multistart damped Newton
 iteration in log-coordinates that runs each start in the chart of its own
-dominant component, classifies the roots by Hessian inertia, and assembles
-a report with Morse-inequality and upper-bound verdicts.
+dominant component, polishes the roots with the same damped Newton loop in
+x, classifies them by Hessian inertia, and assembles a report with Morse
+and upper-bound verdicts.
 
-Everything downstream of `relative_derivatives` works with density-relative
-quantities (responsibilities, gradient over density, Hessian over density),
-so the solver stays numerically meaningful even for witness mixtures whose
-components sit hundreds of standard deviations apart.
+`_LogSolver` is the one Newton engine and derivative evaluator.  Past the
+log-ratio solve it works with density-relative quantities (log-density,
+gradient over density, Hessian over density), so the solver stays
+numerically meaningful even for witness mixtures whose components sit
+hundreds of standard deviations apart.
 """
 
 from __future__ import annotations
@@ -52,13 +54,15 @@ class SolverConfig:
     the row, see `_LogSolver`), relative dedup at 1e-6, degeneracy
     flagged below eigenvalue ratio 1e-8, and points accepted as critical
     when the density-relative gradient norm is below 1e-9.  The starts
-    (component means, mean midpoints and chord starts) and the Newton
-    polish of the roots in the original coordinates are fixed by
-    `find_critical_points`, not configured here.
+    (component means, mean midpoints and chord starts) are fixed by
+    `find_critical_points`, and the polish of the roots in the original
+    coordinates runs the same damped Newton loop with constants of its own
+    (`_LogSolver.polish`), not configured here.  Each row's path, in the
+    solve and in the polish, does not depend on the rows beside it.
 
     The Newton line search tries `max_halvings` = 12 rungs, the Newton step
     scaled by 1, 1/2, ..., 1/2048, takes the first that lowers the residual
-    norm, and drops a start that no rung improves.  `_LogSolver.iterate`
+    norm, and drops a start that no rung improves.  `_damped_newton`
     evaluates the full step together with its Newton matrix and the other
     rungs in one stacked call.  A start that cannot lower its residual with
     1/2048 of its Newton step has slid into a local minimum of the residual
@@ -237,9 +241,10 @@ class _LogSolver:
 
     Every reduction runs along one row (einsum rather than BLAS matmul, whose
     rounding depends on the batch shape), so a row's residual and Newton
-    matrix, and hence its Newton path, do not depend on which other rows
-    share its batch.  `iterate` relies on that when it carries a row's
-    matrix from the batch of one step into the next.
+    matrix, its `relative_derivatives`, and hence its Newton path in `iterate`
+    and in `polish`, do not depend on which other rows share its batch.
+    `_damped_newton` relies on that when it carries a row's matrix from the
+    batch of one step into the next.
     """
 
     def __init__(self, mixture: Mixture):
@@ -249,7 +254,7 @@ class _LogSolver:
         self.pmeans = np.einsum("kij,kj->ki", self.precisions, self.means)
         self.log_wn = mixture.log_weights + mixture.log_norms
         # the largest eigenvalue of any component precision, the mixture's
-        # curvature scale for the degeneracy test in `_classify_at`
+        # curvature scale for the degeneracy test in `_classify`
         self.curvature_scale = float(np.linalg.eigvalsh(self.precisions).max())
 
     def component_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,81 +307,123 @@ class _LogSolver:
         return self.x_batch(u[converged])[0], int(np.count_nonzero(converged))
 
     def iterate(self, u0: np.ndarray, charts: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Damped Newton on every row of log-ratios u0 in its chart.
+        """`_damped_newton` on every row of log-ratios u0 in its chart; returns (rows, converged mask)."""
+        return _damped_newton(
+            u0,
+            lambda u, rows: self.residual_and_jacobian_batch(u, charts[rows]),
+            lambda u, rows: self.residual_batch(u, charts[rows]),
+            lambda u: self._row_tols(u, config.newton_tol),
+            config.newton_max_iter, config.max_halvings,
+        )
 
-        Each row carries its residual S and Newton matrix at its current u.
-        The full step is evaluated together with its Newton matrix, so a row
-        that accepts it starts its next step without another call; a row
-        that accepts a shorter step gets its matrix in one more call.
-        Returns the final rows and the mask of those that converged.
+    def relative_gradient(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """grad f / f for (B, d) points, with the log f, responsibilities and A_i (x - mu_i) it comes from."""
+        terms, atimes = self.component_terms(x)
+        log_f = logsumexp(terms, axis=1, keepdims=True)
+        w = np.exp(terms - log_f)
+        return -np.einsum("bk,bki->bi", w, atimes), log_f[:, 0], w, atimes
+
+    def relative_derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log f, grad f / f and Hess f / f as (B,), (B, d) and (B, d, d) batches for (B, d) points."""
+        grad, log_f, w, atimes = self.relative_gradient(x)
+        hess = np.einsum("bk,bki,bkj->bij", w, atimes, atimes) - np.einsum("bk,kij->bij", w, self.precisions)
+        return log_f, grad, 0.5 * (hess + hess.transpose(0, 2, 1))
+
+    def polish(self, x: np.ndarray) -> np.ndarray:
+        """Sharpen approximate critical points, (B, d) rows, in the original coordinates.
+
+        `_damped_newton` on the relative gradient g, with the log-density
+        Hessian H - gg' as Newton matrix, converges quadratically from any
+        nearby nondegenerate critical point, whatever its index.
         """
-        u = np.array(u0, dtype=float)
-        n, k = u.shape
-        s = np.full((n, k), np.nan)
-        jac = np.full((n, k, k), np.nan)
-        stale = np.zeros(n, dtype=bool)       # rows whose s and jac are not taken at u
-        norms = np.full(n, np.inf)
-        finite = np.all(np.isfinite(u), axis=1)
-        if np.any(finite):
-            s[finite], jac[finite] = self.residual_and_jacobian_batch(u[finite], charts[finite])
-            norms[finite] = np.linalg.norm(s[finite], axis=1)
-        active = np.isfinite(norms) & (norms > self._row_tols(u, config.newton_tol))
+        def newton(points: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            _, grad, hess = self.relative_derivatives(points)
+            return grad, hess - np.einsum("bi,bj->bij", grad, grad)
 
-        for _ in range(config.newton_max_iter):
-            if not np.any(active):
-                break
-            renew = np.flatnonzero(active & stale)
-            if len(renew):
-                s[renew], jac[renew] = self.residual_and_jacobian_batch(u[renew], charts[renew])
-                stale[renew] = False
-            idx = np.flatnonzero(active)
-            steps = np.full((len(idx), k), np.nan)
-            try:
-                steps = np.linalg.solve(jac[idx], -s[idx][..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                for row, i in enumerate(idx):
-                    try:
-                        steps[row] = np.linalg.solve(jac[i], -s[i])
-                    except np.linalg.LinAlgError:
-                        pass
-            good = np.all(np.isfinite(steps), axis=1)
-            active[idx[~good]] = False
+        return _damped_newton(x, newton, lambda points, rows: self.relative_gradient(points)[0],
+                              lambda points: _POLISH_GRAD_TOL, _POLISH_STEPS, _POLISH_RUNGS)[0]
 
-            pending = idx[good]
-            steps = steps[good]
-            # Halving ladder: rung j tries the step scaled by 2^-j, and a row
-            # takes its first improving rung.  Rung 0, the full step, is
-            # evaluated with its Newton matrix.  The rows it does not improve
-            # try rungs 1 ... max_halvings - 1 in one stacked residual call,
-            # which accepts exactly what trying them one at a time would.
-            if config.max_halvings >= 1 and len(pending):
-                cand = u[pending] + steps
-                cand_s, cand_jac = self.residual_and_jacobian_batch(cand, charts[pending])
-                cand_norms = np.linalg.norm(cand_s, axis=1)
-                better = np.isfinite(cand_norms) & (cand_norms < norms[pending])
-                took = pending[better]
-                u[took], norms[took] = cand[better], cand_norms[better]
-                s[took], jac[took] = cand_s[better], cand_jac[better]
-                pending, steps = pending[~better], steps[~better]
-            if config.max_halvings >= 2 and len(pending):
-                scales = np.ldexp(1.0, -np.arange(1, config.max_halvings))
-                cand = u[pending][:, None, :] + scales[None, :, None] * steps[:, None, :]
-                cand_norms = np.linalg.norm(
-                    self.residual_batch(cand.reshape(-1, k), np.repeat(charts[pending], len(scales))),
-                    axis=1,
-                ).reshape(len(pending), len(scales))
-                better = np.isfinite(cand_norms) & (cand_norms < norms[pending][:, None])
-                hit = better.any(axis=1)
-                rows = np.flatnonzero(hit)
-                rung = better[rows].argmax(axis=1)
-                took = pending[rows]
-                u[took], norms[took] = cand[rows, rung], cand_norms[rows, rung]
-                stale[took] = True
-                pending = pending[~hit]
-            active[pending] = False          # no improving step: give up on these
-            active &= norms > self._row_tols(u, config.newton_tol)
 
-        return u, norms <= self._row_tols(u, config.newton_tol)
+# polish stops a row at this gradient norm, after this many steps, or when
+# none of this many rungs lowers its gradient norm
+_POLISH_GRAD_TOL, _POLISH_STEPS, _POLISH_RUNGS = 1e-15, 8, 20
+
+
+def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int):
+    """Damped Newton on each row of the (n, m) batch u0; returns the final rows and the converged mask.
+
+    `evaluate(u, rows)` gives the residual and m x m Newton matrix of batch
+    rows `rows` at points u, and `residual(u, rows)` the residual alone.  A
+    row stops at a residual norm of at most `tolerance(u)`, after `max_iter`
+    steps, or when no step of its line search (`rungs` rungs) lowers it.
+    """
+    u = np.array(u0, dtype=float)
+    n, m = u.shape
+    s = np.full((n, m), np.nan)
+    jac = np.full((n, m, m), np.nan)
+    stale = np.zeros(n, dtype=bool)       # rows whose s and jac are not taken at u
+    norms = np.full(n, np.inf)
+    finite = np.flatnonzero(np.all(np.isfinite(u), axis=1))
+    if len(finite):
+        s[finite], jac[finite] = evaluate(u[finite], finite)
+        norms[finite] = np.linalg.norm(s[finite], axis=1)
+    active = np.isfinite(norms) & (norms > tolerance(u))
+
+    for _ in range(max_iter):
+        if not np.any(active):
+            break
+        renew = np.flatnonzero(active & stale)
+        if len(renew):
+            s[renew], jac[renew] = evaluate(u[renew], renew)
+            stale[renew] = False
+        idx = np.flatnonzero(active)
+        steps = np.full((len(idx), m), np.nan)
+        try:
+            steps = np.linalg.solve(jac[idx], -s[idx][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            for row, i in enumerate(idx):
+                try:
+                    steps[row] = np.linalg.solve(jac[i], -s[i])
+                except np.linalg.LinAlgError:
+                    pass
+        good = np.all(np.isfinite(steps), axis=1)
+        active[idx[~good]] = False
+
+        pending = idx[good]
+        steps = steps[good]
+        # Halving ladder: rung j tries the step scaled by 2^-j, and a row
+        # takes its first improving rung.  Rung 0, the full step, is
+        # evaluated with its Newton matrix, so a row that takes it starts its
+        # next step without another call.  The rows it does not improve try
+        # rungs 1 ... rungs - 1 in one stacked residual call, which accepts
+        # exactly what trying them one at a time would.
+        if rungs >= 1 and len(pending):
+            cand = u[pending] + steps
+            cand_s, cand_jac = evaluate(cand, pending)
+            cand_norms = np.linalg.norm(cand_s, axis=1)
+            better = np.isfinite(cand_norms) & (cand_norms < norms[pending])
+            took = pending[better]
+            u[took], norms[took] = cand[better], cand_norms[better]
+            s[took], jac[took] = cand_s[better], cand_jac[better]
+            pending, steps = pending[~better], steps[~better]
+        if rungs >= 2 and len(pending):
+            scales = np.ldexp(1.0, -np.arange(1, rungs))
+            cand = u[pending][:, None, :] + scales[None, :, None] * steps[:, None, :]
+            cand_norms = np.linalg.norm(
+                residual(cand.reshape(-1, m), np.repeat(pending, len(scales))), axis=1,
+            ).reshape(len(pending), len(scales))
+            better = np.isfinite(cand_norms) & (cand_norms < norms[pending][:, None])
+            hit = better.any(axis=1)
+            rows = np.flatnonzero(hit)
+            rung = better[rows].argmax(axis=1)
+            took = pending[rows]
+            u[took], norms[took] = cand[rows, rung], cand_norms[rows, rung]
+            stale[took] = True
+            pending = pending[~hit]
+        active[pending] = False          # no improving step: give up on these
+        active &= norms > tolerance(u)
+
+    return u, norms <= tolerance(u)
 
 
 def _centre(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
@@ -409,10 +456,7 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray) -> np.ndarray:
     origins, chords = origins[keep], chords[keep]
 
     def slopes(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        terms, atimes = solver.component_terms(points)
-        w = np.exp(terms - logsumexp(terms, axis=1, keepdims=True))
-        rel_grad = -np.einsum("bk,bki->bi", w, atimes)
-        return np.einsum("bi,bi->b", directions, rel_grad)
+        return np.einsum("bi,bi->b", directions, solver.relative_gradient(points)[0])
 
     ts = np.linspace(0.0, 1.0, 33)[1:-1]        # slots 7, 15, 23 are t = 1/4, 1/2, 3/4
     grid = origins[:, None, :] + ts[None, :, None] * chords[:, None, :]
@@ -461,42 +505,6 @@ def _halvings_per_round(n_brackets: int) -> int:
     while m < 5 and n_brackets * (2 ** (m + 1) - 1) <= 256:
         m += 1
     return m
-
-
-def _polish_newton(mixture: Mixture, x: np.ndarray) -> np.ndarray:
-    """Sharpen an approximate critical point in the original coordinates.
-
-    Damped Newton on the relative gradient, with the log-density Hessian,
-    converges quadratically from any nearby nondegenerate critical point,
-    whatever its index.  A step is taken only if it lowers the gradient norm.
-    """
-    def resid(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        # the gradient norm, plus the derivatives a Newton step from p needs
-        _, rel_grad, rel_hess = mixture.relative_derivatives(p)
-        return float(np.linalg.norm(rel_grad)), rel_grad, rel_hess
-
-    current, (res, g, h) = x, resid(x)
-    for _ in range(8):
-        if res <= 1e-15:
-            break
-        jac = h - np.outer(g, g)                 # Hessian of log density
-        try:
-            step = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        scale, improved = 1.0, False
-        for _ in range(20):
-            cand = current + scale * step
-            cand_res, cand_g, cand_h = resid(cand)
-            if np.isfinite(cand_res) and cand_res < res:
-                current, res, g, h, improved = cand, cand_res, cand_g, cand_h, True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    return current
 
 
 # -- classification and reporting -----------------------------------------------
@@ -570,6 +578,7 @@ class SolveReport:
     reference: int
     all_nondegenerate: bool
     morse_inequality_ok: bool
+    morse_equality_ok: bool
     upper_sandwich_ok: bool
     u_best: BoundValue | None
     u_mode: BoundValue | None
@@ -615,6 +624,7 @@ class SolveReport:
             "counts_by_index": {str(k): v for k, v in self.counts_by_index.items()},
             "all_nondegenerate": self.all_nondegenerate,
             "morse_inequality_ok": self.morse_inequality_ok,
+            "morse_equality_ok": self.morse_equality_ok,
             "upper_sandwich_ok": self.upper_sandwich_ok,
             "u_best": None if self.u_best is None else self.u_best.exact,
             "u_mode": None if self.u_mode is None else self.u_mode.exact,
@@ -630,57 +640,50 @@ class SolveReport:
         }
 
 
-def _classify_at(
-    solver: _LogSolver,
-    x: np.ndarray,
-    config: SolverConfig,
-    reference: int | None,
-) -> CriticalPoint:
-    mixture = solver.mixture
-    log_value, rel_grad, rel_hess = mixture.relative_derivatives(x)
-    grad_residual = float(np.linalg.norm(rel_grad))
-    if not grad_residual <= config.grad_accept_tol:
-        raise ValueError(
-            f"point is not critical: relative gradient norm {grad_residual:.3e} "
-            f"exceeds acceptance tolerance {config.grad_accept_tol:.1e}"
-        )
-    eigs = np.linalg.eigvalsh(rel_hess)
+def _classify(
+    solver: _LogSolver, xs: np.ndarray, config: SolverConfig, reference: int | None
+) -> list[CriticalPoint]:
+    """Classify each of the (B, d) points, critical or not; callers apply `grad_accept_tol`."""
+    log_f, grad, hess = solver.relative_derivatives(xs)
+    eigs = np.linalg.eigvalsh(hess)
     abs_eigs = np.abs(eigs)
     # Degeneracy is judged against the mixture's own curvature scale, not just
     # the largest eigenvalue at the point: a fully flat Hessian (all
     # eigenvalues near zero, e.g. a fold point in 1-d) must still register.
-    scale = max(float(abs_eigs.max()), solver.curvature_scale)
-    eig_ratio = float(abs_eigs.min() / scale) if scale > 0.0 else 0.0
-    ms_residual = float(np.linalg.norm(mean_shift_step(mixture, x) - x))
-    reduced_coords = reduced_residual = reduced_reference = None
-    if reference is not None:
-        # R is taken in the dominant component's chart (see CriticalPoint),
-        # where R_i = -y_i expm1(-S_i) and the chart's own entry is 0
-        log_y, charts = solver.chart_coords(x[None])
-        s = solver.residual_batch(log_y, charts)
-        reduced_residual = float(np.linalg.norm(-np.exp(log_y) * np.expm1(-s)))
-        reduced_reference = int(charts[0])
-        with np.errstate(over="ignore"):
-            reduced_coords = np.exp(np.delete(log_y[0] - log_y[0, reference], reference))
-    return CriticalPoint(
-        location=np.array(x, dtype=float),
-        density=float(np.exp(log_value)),
-        log_density=float(log_value),
-        gradient_residual=grad_residual,
-        morse_index=int(np.count_nonzero(eigs < 0.0)),
-        eig_ratio=eig_ratio,
-        degenerate=bool(eig_ratio < config.degeneracy_tol),
-        hessian_eigenvalues=tuple(float(v) for v in eigs),
-        mean_shift_residual=ms_residual,
-        reduced_coords=reduced_coords,
-        reduced_residual=reduced_residual,
-        reduced_reference=reduced_reference,
-    )
+    eig_ratios = abs_eigs.min(axis=1) / np.maximum(abs_eigs.max(axis=1), solver.curvature_scale)
+    # X at a point's own log-ratios is its mean-shift image; R is taken in the
+    # dominant chart (see CriticalPoint), where R_i = -y_i expm1(-S_i)
+    log_y, charts = solver.chart_coords(xs)
+    images, _, _ = solver.x_batch(log_y)
+    s = _centre(log_y - solver.component_terms(images)[0], charts)
+    reduced_residuals = np.linalg.norm(-np.exp(log_y) * np.expm1(-s), axis=1)
+    points = []
+    for i, x in enumerate(xs):
+        reduced_coords = reduced_residual = reduced_reference = None
+        if reference is not None:
+            reduced_residual, reduced_reference = float(reduced_residuals[i]), int(charts[i])
+            with np.errstate(over="ignore"):
+                reduced_coords = np.exp(np.delete(log_y[i] - log_y[i, reference], reference))
+        points.append(CriticalPoint(
+            location=np.array(x, dtype=float),
+            density=float(np.exp(log_f[i])),
+            log_density=float(log_f[i]),
+            gradient_residual=float(np.linalg.norm(grad[i])),
+            morse_index=int(np.count_nonzero(eigs[i] < 0.0)),
+            eig_ratio=float(eig_ratios[i]),
+            degenerate=bool(eig_ratios[i] < config.degeneracy_tol),
+            hessian_eigenvalues=tuple(float(v) for v in eigs[i]),
+            mean_shift_residual=float(np.linalg.norm(images[i] - x)),
+            reduced_coords=reduced_coords,
+            reduced_residual=reduced_residual,
+            reduced_reference=reduced_reference,
+        ))
+    return points
 
 
 def polish_critical(mixture: Mixture, x: np.ndarray) -> np.ndarray:
     """Refine an approximate critical point by damped Newton on the relative gradient."""
-    return _polish_newton(mixture, np.asarray(x, dtype=float))
+    return _LogSolver(mixture).polish(mixture._check_point(x)[None])[0]
 
 
 def classify(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None) -> CriticalPoint:
@@ -691,7 +694,13 @@ def classify(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None
     """
     config = config or SolverConfig()
     reference = int(np.argmax(mixture.weights)) if mixture.n_components >= 2 else None
-    return _classify_at(_LogSolver(mixture), np.asarray(x, dtype=float), config, reference)
+    point = _classify(_LogSolver(mixture), mixture._check_point(x)[None], config, reference)[0]
+    if not point.gradient_residual <= config.grad_accept_tol:
+        raise ValueError(
+            f"point is not critical: relative gradient norm {point.gradient_residual:.3e} "
+            f"exceeds acceptance tolerance {config.grad_accept_tol:.1e}"
+        )
+    return point
 
 
 def _cluster(candidates: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -725,56 +734,34 @@ def _cluster(candidates: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, 
 
 
 def _dedup_points(
-    candidates: list[np.ndarray], solver: _LogSolver, config: SolverConfig, reference: int
+    candidates: np.ndarray, solver: _LogSolver, config: SolverConfig, reference: int | None
 ) -> list[CriticalPoint]:
     """Cluster near-identical locations; keep each cluster's best-classified member.
 
-    The best member has the smallest gradient residual, the first in
-    lexicographic order on ties; `cluster_diameter` spans every member.
+    The best member passes the gradient test with the smallest gradient
+    residual, the first in lexicographic order on ties; `cluster_diameter`
+    spans every member.
     """
-    if not candidates:
+    if not len(candidates):
         return []
     members = np.array(candidates)
     members = members[np.lexsort(members.T[::-1])]      # so `min` keeps the first on ties
     _, labels = _cluster(members, config.dedup_tol)
+    classified = _classify(solver, members, config, reference)
     points: list[CriticalPoint] = []
     for label in range(labels.max() + 1):
-        cluster = members[labels == label]
-        classified = []
-        for x in cluster:
-            try:
-                classified.append(_classify_at(solver, x, config, reference))
-            except ValueError:
-                pass
-        if not classified:
+        critical = [p for p, at in zip(classified, labels)
+                    if at == label and p.gradient_residual <= config.grad_accept_tol]
+        if not critical:
             continue
-        best = min(classified, key=lambda cp: cp.gradient_residual)
+        best = min(critical, key=lambda cp: cp.gradient_residual)
+        cluster = members[labels == label]
         diameter = float(np.linalg.norm(cluster[:, None] - cluster[None], axis=-1).max())
         points.append(replace(best, cluster_diameter=diameter))
     # rounded first, so mirror points whose coordinates tie to the last ulps
     # keep their order under rounding-level changes in the solver
     points.sort(key=lambda p: (tuple(np.round(p.location, 9)), tuple(p.location)))
     return points
-
-
-def _single_component_report(mixture: Mixture, config: SolverConfig) -> SolveReport:
-    point = _classify_at(_LogSolver(mixture), mixture.means[0], config, reference=None)
-    return SolveReport(
-        mixture=mixture,
-        points=(point,),
-        reference=0,
-        all_nondegenerate=not point.degenerate,
-        morse_inequality_ok=True,
-        upper_sandwich_ok=True,
-        u_best=None,
-        u_mode=None,
-        u_best_hom=None,
-        hom_rank=None,
-        n_starts=1,
-        n_converged=1,
-        n_dropped=0,
-        config=config,
-    )
 
 
 def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -> SolveReport:
@@ -792,7 +779,7 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     config = config or SolverConfig()
     d, k = mixture.dim, mixture.n_components
     if k == 1:
-        return _single_component_report(mixture, config)
+        return _assemble_report(_LogSolver(mixture), mixture.means, config, n_starts=1, n_converged=1)
     if (d > config.max_dim or k > config.max_components) and not config.force:
         raise ValueError(
             f"instance size d={d}, k={k} exceeds configured limits "
@@ -825,14 +812,13 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
             break
         reps = merged
 
-    candidates = [_polish_newton(mixture, x) for x in reps]
-    return _assemble_report(solver, candidates, config,
+    return _assemble_report(solver, solver.polish(reps), config,
                             n_starts=n_starts_total, n_converged=n_converged)
 
 
 def _assemble_report(
     solver: _LogSolver,
-    candidates: list[np.ndarray],
+    candidates: np.ndarray,
     config: SolverConfig,
     n_starts: int,
     n_converged: int,
@@ -840,34 +826,34 @@ def _assemble_report(
     mixture = solver.mixture
     d, k = mixture.dim, mixture.n_components
     reference = int(np.argmax(mixture.weights))
-    points = _dedup_points(candidates, solver, config, reference)
+    points = _dedup_points(candidates, solver, config, reference if k >= 2 else None)
 
     n = len(points)
     n_modes = sum(1 for p in points if p.is_mode)
-    c_dm1 = sum(1 for p in points if p.morse_index == d - 1)
     all_nondeg = bool(points) and all(not p.degenerate for p in points)
-    morse_ok = (not all_nondeg) or (n_modes <= (n + 1) // 2 and c_dm1 >= n_modes - 1)
+    inequality_ok, equality_ok = _morse_verdicts(d, [p.morse_index for p in points])
 
-    u_best = upper_bound("BEST", d, k)
-    u_mode = mode_bound_from_critical(u_best)
-    u_best_hom = None
-    hom_rank = None
-    if mixture.is_homoscedastic():
-        hom_rank = affine_rank(mixture.means)
-        if hom_rank >= 1:
-            u_best_hom = upper_bound("BEST_HOM", hom_rank, k)
+    u_best = u_mode = u_best_hom = hom_rank = None
     sandwich_ok = True
-    if all_nondeg:
-        sandwich_ok = n <= u_best.exact and n_modes <= u_mode.exact
-        if u_best_hom is not None:
-            sandwich_ok = sandwich_ok and n <= u_best_hom.exact
+    if k >= 2:          # the bounds start at two components
+        u_best = upper_bound("BEST", d, k)
+        u_mode = mode_bound_from_critical(u_best)
+        if mixture.is_homoscedastic():
+            hom_rank = affine_rank(mixture.means)
+            if hom_rank >= 1:
+                u_best_hom = upper_bound("BEST_HOM", hom_rank, k)
+        if all_nondeg:
+            sandwich_ok = n <= u_best.exact and n_modes <= u_mode.exact
+            if u_best_hom is not None:
+                sandwich_ok = sandwich_ok and n <= u_best_hom.exact
 
     return SolveReport(
         mixture=mixture,
         points=tuple(points),
         reference=reference,
         all_nondegenerate=all_nondeg,
-        morse_inequality_ok=morse_ok,
+        morse_inequality_ok=inequality_ok or not all_nondeg,
+        morse_equality_ok=equality_ok or not all_nondeg,
         upper_sandwich_ok=sandwich_ok,
         u_best=u_best,
         u_mode=u_mode,
@@ -897,23 +883,32 @@ def solve_reduced_homoscedastic(mixture: Mixture, config: SolverConfig | None = 
     amap, reduced, _ = reduce_homoscedastic(mixture)
     inner = find_critical_points(reduced, config)
     d, r = mixture.dim, reduced.dim
-    candidates = []
-    for p in inner.points:
-        z = np.concatenate([p.location, np.zeros(d - r)])
-        candidates.append(_polish_newton(mixture, amap.inverse(z)))
-    return _assemble_report(_LogSolver(mixture), candidates, config,
+    solver = _LogSolver(mixture)
+    candidates = np.array([amap.inverse(np.concatenate([p.location, np.zeros(d - r)]))
+                           for p in inner.points]).reshape(-1, d)
+    return _assemble_report(solver, solver.polish(candidates), config,
                             n_starts=inner.n_starts, n_converged=inner.n_converged)
+
+
+def _morse_verdicts(dim: int, indices: Sequence[int]) -> tuple[bool, bool]:
+    # the inequality and the equality of `morse_check`
+    indices = list(indices)
+    n, m, c = len(indices), indices.count(dim), indices.count(dim - 1)
+    return m <= (n + 1) // 2 and c >= m - 1, sum((-1) ** (dim - i) for i in indices) == 1
 
 
 def morse_check(report: SolveReport, bounds: tuple[BoundValue, BoundValue] | None = None) -> bool:
     """Morse-theoretic verdict for a completed report.
 
-    Checks M <= floor((N+1)/2) and C_{d-1} >= M - 1; when a (critical bound,
-    mode bound) pair is supplied, also checks N and M against it.
+    Checks the inequality M <= floor((N+1)/2) and C_{d-1} >= M - 1 and, on a
+    nondegenerate report, the equality sum_i (-1)^(d-i) c_i = 1 over the
+    counts c_i of points of Morse index i (Poincare-Hopf for grad(-log f) on
+    a large ball, where -log f is coercive); when a (critical bound, mode
+    bound) pair is supplied, also checks N and M against it.
     """
-    n, m, c = report.n_critical, report.n_modes, report.n_index_dminus1
-    ok = m <= (n + 1) // 2 and c >= m - 1
+    inequality_ok, equality_ok = _morse_verdicts(report.mixture.dim, [p.morse_index for p in report.points])
+    ok = inequality_ok and (equality_ok or not report.all_nondegenerate)
     if bounds is not None:
         u_crit, u_mode = bounds
-        ok = ok and n <= int(u_crit) and m <= int(u_mode)
+        ok = ok and report.n_critical <= int(u_crit) and report.n_modes <= int(u_mode)
     return ok

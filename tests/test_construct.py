@@ -31,6 +31,7 @@ from modecount import (
     tilt_polish,
 )
 from modecount import construct
+from modecount.solver import _morse_verdicts
 
 
 def pair_1d():
@@ -239,7 +240,7 @@ def test_pad_requires_verified_modes():
     m = pair_1d()
     empty = SolveReport(
         mixture=m, points=(), reference=0, all_nondegenerate=True,
-        morse_inequality_ok=True, upper_sandwich_ok=True, u_best=None,
+        morse_inequality_ok=True, morse_equality_ok=True, upper_sandwich_ok=True, u_best=None,
         u_mode=None, u_best_hom=None, hom_rank=None,
         n_starts=0, n_converged=0, n_dropped=0,
     )
@@ -347,23 +348,28 @@ def test_realize_padded_d1k6_finds_both_antimodes():
 
 
 def test_realize_rejects_report_failing_morse_check(monkeypatch):
-    # a report that misses a critical point fails the Morse inequalities, and
-    # its mode count cannot count as verified: drop one index-(d-1) point from
-    # every nondegenerate report of a witness that otherwise realizes
+    # a report that misses a critical point fails the Morse inequalities or
+    # the Morse equality, and its mode count cannot count as verified: drop
+    # one point from every nondegenerate report of a witness that otherwise
+    # realizes.  Without a saddle (index d-1) it fails the inequalities;
+    # without a mode it keeps them (N=6, M=3, C_(d-1)=3) and fails only the
+    # equality, 3 - 3 != 1.
     real = construct.find_critical_points
-
-    def missing_a_saddle(mixture, config=None):
-        report = real(mixture, config)
-        d = mixture.dim
-        drop = next(i for i, p in enumerate(report.points) if p.morse_index == d - 1)
-        short = dataclasses.replace(report, points=report.points[:drop] + report.points[drop + 1:])
-        return dataclasses.replace(short, morse_inequality_ok=morse_check(short))
-
-    monkeypatch.setattr(construct, "find_critical_points", missing_a_saddle)
     recipe = SeedRecipe(seeds=(SeedTriple(2, 3, 4),), lift_to=2, pad=0, value=4)
-    with pytest.raises(RecipeVerificationError, match="fails the Morse check") as err:
-        realize_recipe(recipe)
-    assert "N=6, M=4, C_(d-1)=2" in str(err.value)
+    for dropped_index, counts in ((1, "N=6, M=4, C_(d-1)=2"), (2, "N=6, M=3, C_(d-1)=3")):
+
+        def missing_a_point(mixture, config=None, dropped_index=dropped_index):
+            report = real(mixture, config)
+            drop = next(i for i, p in enumerate(report.points) if p.morse_index == dropped_index)
+            short = dataclasses.replace(report, points=report.points[:drop] + report.points[drop + 1:])
+            inequality_ok, equality_ok = _morse_verdicts(mixture.dim, [p.morse_index for p in short.points])
+            assert inequality_ok == (dropped_index == 2) and not equality_ok and not morse_check(short)
+            return dataclasses.replace(short, morse_inequality_ok=inequality_ok, morse_equality_ok=equality_ok)
+
+        monkeypatch.setattr(construct, "find_critical_points", missing_a_point)
+        with pytest.raises(RecipeVerificationError, match="fails the Morse check") as err:
+            realize_recipe(recipe)
+        assert counts in str(err.value)
 
 
 def test_realize_rejects_mismatched_pad_spec():

@@ -231,6 +231,85 @@ def test_residual_rows_do_not_depend_on_batch():
     rows = np.arange(len(u))
     assert np.all(s[rows, charts] == 0.0)
     assert np.array_equal(jac[rows, charts], np.eye(5)[charts])
+    # polish and classification run on the density-relative derivatives in x
+    m = solver.mixture
+    x = rng.uniform(-4.0, 4.0, size=(200, m.dim))
+    stacked = solver.relative_derivatives(x)
+    for i in range(len(x)):
+        alone = solver.relative_derivatives(x[i:i + 1])
+        assert all(np.array_equal(a[i], b[0]) for a, b in zip(stacked, alone)), i
+    # so polishing a batch gives each row the point it gets alone: rows near
+    # the roots, and rows far from them that stall or move a long way
+    roots = np.array([p.location for p in find_critical_points(m).points])
+    near = roots + 1e-4 * rng.standard_normal(roots.shape)
+    starts = np.concatenate([near, x[:40]])
+    polished = solver.polish(starts)
+    assert np.linalg.norm(solver.relative_gradient(polished[:len(roots)])[0], axis=1).max() <= 1e-12
+    for i in range(len(starts)):
+        assert np.array_equal(polished[i], solver.polish(starts[i:i + 1])[0]), i
+
+
+def polish_one_point(mixture, x):
+    """Reference polish: scalar damped Newton on the relative gradient.
+
+    It evaluates `Mixture.relative_derivatives` at every rung, makes at most
+    8 steps of up to 20 rungs, takes a step only if it lowers the gradient
+    norm and stops at a norm of 1e-15, as `_LogSolver.polish` does.
+    """
+    def derivatives(p):
+        _, g, h = mixture.relative_derivatives(p)
+        return float(np.linalg.norm(g)), g, h
+
+    res, g, h = derivatives(x)
+    for _ in range(8):
+        if res <= 1e-15:
+            break
+        try:
+            step = np.linalg.solve(h - np.outer(g, g), -g)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        for j in range(20):
+            cand = x + 0.5 ** j * step
+            cand_res, cand_g, cand_h = derivatives(cand)
+            if np.isfinite(cand_res) and cand_res < res:
+                x, res, g, h = cand, cand_res, cand_g, cand_h
+                break
+        else:
+            break
+    return x
+
+
+def test_batched_polish_and_classification_match_per_point_oracles():
+    # `Mixture.relative_derivatives` and `mean_shift_step` evaluate one point
+    # through the mixture's own component terms and share no code with the
+    # solver's batched path; they agree up to rounding
+    rng = np.random.default_rng(SWEEP_SEED)
+    mixtures = [
+        random_mixture_1d(rng),                                 # sweep instance 0
+        padded_d1k6_mixture(),                                  # remote witness
+        random_mixture(np.random.default_rng(47), 6, 6),        # highdim
+    ]
+    for m in mixtures:
+        report = find_critical_points(m)
+        for p in report.points:
+            x = p.location
+            log_value, _, rel_hess = m.relative_derivatives(x)
+            eigs = np.linalg.eigvalsh(rel_hess)
+            assert np.max(np.abs(np.array(p.hessian_eigenvalues) - eigs)) <= 1e-13 * np.max(np.abs(eigs))
+            assert abs(p.log_density - log_value) <= 1e-14 * (1.0 + abs(log_value))
+            ms_residual = np.linalg.norm(mean_shift_step(m, x) - x)
+            assert abs(p.mean_shift_residual - ms_residual) <= 1e-14 * (1.0 + np.linalg.norm(x))
+        roots = np.array([p.location for p in report.points])
+        noise = rng.standard_normal(roots.shape) * (1.0 + np.abs(roots))
+        for offset in (1e-9, 1e-5):
+            starts = roots + offset * noise
+            polished = _LogSolver(m).polish(starts)
+            for x0, got in zip(starts, polished):
+                want = polish_one_point(m, x0)
+                assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.linalg.norm(want))
+                assert np.array_equal(polish_critical(m, x0), got)
 
 
 def random_starts(rng, k, spread, n):
@@ -589,6 +668,11 @@ def test_product_pair_anchor():
     assert report.n_index_dminus1 == 4
     for p in report.modes:
         assert np.allclose(np.abs(p.location), PAIR_MODE, atol=1e-6)
+    # 4 - 4 + 1 = 1; without its minimum the set keeps the Morse inequalities
+    # (N=8, M=4, C_1=4) and fails the equality
+    assert report.morse_equality_ok and morse_check(report)
+    short = dataclasses.replace(report, points=tuple(p for p in report.points if p.morse_index > 0))
+    assert not morse_check(short)
 
 
 def test_single_gaussian_report():
@@ -663,6 +747,7 @@ def test_report_roundtrips_through_json():
     assert doc["n_critical"] == 3 and doc["n_modes"] == 2
     assert doc["counts_by_index"] == {"0": 1, "1": 2}
     assert doc["u_best"] == 8
+    assert doc["morse_inequality_ok"] is doc["morse_equality_ok"] is True
     assert list(doc["config"]) == [f.name for f in dataclasses.fields(SolverConfig)]
     assert all(isinstance(p["location"][0], float) for p in doc["points"])
 
