@@ -110,6 +110,7 @@ def _report_text(report, header: str) -> str:
     lines.append(
         f"all_nondegenerate: {report.all_nondegenerate}   "
         f"morse_inequality_ok: {report.morse_inequality_ok}   "
+        f"morse_equality_ok: {report.morse_equality_ok}   "
         f"upper_sandwich_ok: {report.upper_sandwich_ok}"
     )
     if report.u_best is not None:
@@ -258,7 +259,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         " (rank-reduced)" if args.reduce_rank else ""
     )
     _emit(doc, args.output, text=_report_text(report, header), csv=_report_csv(report))
-    checks_ok = report.morse_inequality_ok and report.upper_sandwich_ok
+    checks_ok = report.morse_inequality_ok and report.morse_equality_ok and report.upper_sandwich_ok
     return EXIT_OK if checks_ok else EXIT_VERIFICATION
 
 
@@ -392,6 +393,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         ok = (report.n_modes >= args.claim
               and report.morse_inequality_ok
+              and report.morse_equality_ok
               and report.upper_sandwich_ok)
         verdict = "PASS" if ok else "FAIL"
         exit_code = EXIT_OK if ok else EXIT_VERIFICATION
@@ -404,6 +406,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "verified_modes": report.n_modes,
         "n_critical": report.n_critical,
         "morse_inequality_ok": report.morse_inequality_ok,
+        "morse_equality_ok": report.morse_equality_ok,
         "upper_sandwich_ok": report.upper_sandwich_ok,
         "note": note,
         "config": _config_echo(args, config),
@@ -413,6 +416,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"claimed modes: {args.claim}   verified modes: {report.n_modes}   "
         f"critical points: {report.n_critical}",
         f"morse_inequality_ok: {report.morse_inequality_ok}   "
+        f"morse_equality_ok: {report.morse_equality_ok}   "
         f"upper_sandwich_ok: {report.upper_sandwich_ok}",
     ]
     if note:

@@ -263,10 +263,15 @@ class _LogSolver:
         atimes = np.einsum("kij,bkj->bki", self.precisions, diff)
         return self.log_wn - 0.5 * np.einsum("bki,bki->bk", diff, atimes), atimes
 
-    def chart_coords(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log-ratios u = L(x) - L_c(x) and chart c = argmax L(x) for (B, d) points."""
+    def chart_coords(self, x: np.ndarray, tie_margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Log-ratios u = L(x) - L_c(x) and chart c for (B, d) points.
+
+        c is the lowest index whose L_c(x) lies within tie_margin * (1 + |max L|)
+        of max L(x); at the default 0 it is argmax L(x).
+        """
         terms, _ = self.component_terms(x)
-        charts = np.argmax(terms, axis=1)
+        top = terms.max(axis=1, keepdims=True)
+        charts = np.argmax(terms >= top - tie_margin * (1.0 + np.abs(top)), axis=1)
         return _centre(terms, charts), charts
 
     def x_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -431,8 +436,13 @@ def _centre(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
     return values - values[np.arange(len(values)), charts][:, None]
 
 
-def _chord_starts(solver: _LogSolver, reps: np.ndarray) -> np.ndarray:
+def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarray:
     """Restart seeds on the chords between found critical points, as (n, d) rows.
+
+    Only the chords (i, j), i < j, with j >= n_old are seeded: the rows
+    reps[n_old:] are the representatives the last restart round added, and
+    every chord between two older ones was seeded in an earlier round (see
+    `find_critical_points`).
 
     Every chord contributes its points at t = 1/4, 1/2 and 3/4.  Along the
     chord the directional slope of log-density also vanishes at every
@@ -450,6 +460,8 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray) -> np.ndarray:
     """
     d = reps.shape[1]
     first, second = np.triu_indices(len(reps), 1)
+    new = second >= n_old
+    first, second = first[new], second[new]
     origins = reps[first]
     chords = reps[second] - origins
     keep = np.linalg.norm(chords, axis=1) > 0.0
@@ -520,6 +532,9 @@ class CriticalPoint:
     `reduced_reference`, the component with the largest responsibility at
     the point: there every ratio is at most 1, so R certifies the bijection
     even at remote points whose ratios in the report's chart reach 1e66.
+    Components whose log terms lie within 1e-12 * (1 + |max|) of the
+    largest count as tied, and the lowest index among them is reported, so
+    a tie by symmetry gives the same chart under rounding-level changes.
     """
 
     location: np.ndarray
@@ -652,8 +667,11 @@ def _classify(
     # eigenvalues near zero, e.g. a fold point in 1-d) must still register.
     eig_ratios = abs_eigs.min(axis=1) / np.maximum(abs_eigs.max(axis=1), solver.curvature_scale)
     # X at a point's own log-ratios is its mean-shift image; R is taken in the
-    # dominant chart (see CriticalPoint), where R_i = -y_i expm1(-S_i)
-    log_y, charts = solver.chart_coords(xs)
+    # dominant chart (see CriticalPoint), where R_i = -y_i expm1(-S_i).  Terms
+    # tied to 1e-12 relative go to the lowest index, so that the reported
+    # chart of a point where two components tie by symmetry does not flip
+    # with the last ulp of its location.
+    log_y, charts = solver.chart_coords(xs, tie_margin=1e-12)
     images, _, _ = solver.x_batch(log_y)
     s = _centre(log_y - solver.component_terms(images)[0], charts)
     reduced_residuals = np.linalg.norm(-np.exp(log_y) * np.expm1(-s), axis=1)
@@ -703,13 +721,19 @@ def classify(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None
     return point
 
 
-def _cluster(candidates: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy relative-tolerance clustering.
+def _cluster(
+    candidates: Sequence[np.ndarray], tol: float, prior: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy relative-tolerance clustering, optionally around fixed representatives.
 
-    Candidates are visited in lexicographic order.  Each one joins the first
+    Each prior representative r, in row order, first claims every candidate
+    not yet claimed that lies within tol * (1 + |r|).  The other candidates
+    are visited in lexicographic order: each one joins the first
     representative r chosen before it that lies within tol * (1 + |r|), and
-    otherwise becomes a representative itself.  Returns the representatives
-    as rows and, for each candidate, the index of its representative.
+    otherwise becomes a representative itself.  Returns the prior rows
+    followed by the new representatives, and, for each candidate, the index
+    of its representative in that array.  The prior rows are returned as
+    given, so a representative does not move when later roots join it.
 
     The loop runs once per representative: the first unlabelled candidate
     becomes the next one and labels every later unlabelled candidate within
@@ -718,19 +742,26 @@ def _cluster(candidates: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, 
     points = np.array(candidates, dtype=float)
     order = np.lexsort(points.T[::-1])      # first coordinate is the primary key
     ordered = points[order]
+    prior = ordered[:0] if prior is None else np.asarray(prior, dtype=float)
     labels = np.empty(len(points), dtype=int)
     free = np.ones(len(points), dtype=bool)
+
+    def claim(r: np.ndarray, label: int) -> None:
+        later = np.flatnonzero(free)
+        hits = later[np.linalg.norm(ordered[later] - r, axis=1) <= tol * (1.0 + np.linalg.norm(r))]
+        labels[order[hits]] = label
+        free[hits] = False
+
+    for label, r in enumerate(prior):
+        claim(r, label)
     chosen: list[int] = []
     while free.any():
         pos = int(np.argmax(free))          # every candidate before it is labelled
         free[pos] = False
-        r = ordered[pos]
-        later = np.flatnonzero(free)
-        hits = later[np.linalg.norm(ordered[later] - r, axis=1) <= tol * (1.0 + np.linalg.norm(r))]
-        labels[order[pos]] = labels[order[hits]] = len(chosen)
-        free[hits] = False
+        labels[order[pos]] = len(prior) + len(chosen)
+        claim(ordered[pos], len(prior) + len(chosen))
         chosen.append(pos)
-    return ordered[np.array(chosen, dtype=int)], labels
+    return np.concatenate([prior, ordered[np.array(chosen, dtype=int)]]), labels
 
 
 def _dedup_points(
@@ -775,6 +806,16 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     relative gradient, deduplicated, and classified.  There is no
     completeness certificate; the report carries start/drop diagnostics
     instead.
+
+    The restart rounds keep their representatives fixed: a new root joins
+    the first representative within `dedup_tol` of it (see `_cluster`), and
+    only the roots that join none become new representatives, appended
+    after the old ones.  A round then seeds only the chords with at least
+    one new endpoint.  That skip is exact: a chord between two older
+    representatives was seeded one round earlier from the same points, each
+    start's Newton path does not depend on its batch, so its starts would
+    return the same roots, and those already joined a representative.
+    `n_starts` and `n_converged` count the starts that ran.
     """
     config = config or SolverConfig()
     d, k = mixture.dim, mixture.n_components
@@ -793,13 +834,15 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
 
     roots, n_converged = solver.solve_batch(starts, config)
     reps, _ = _cluster(roots, config.dedup_tol)
-    n_starts_total = len(starts)
+    n_starts_total, n_old = len(starts), 0
 
     # Restart rounds: critical points the means and midpoints miss (such as
     # tiny-responsibility saddles between far-apart modes) sit on chords
     # between found points, so reseed Newton there until the set stops growing.
+    # Representatives stay fixed, so a round needs only the chords that touch
+    # a representative the previous round added.
     for _ in range(5):
-        chord_starts = _chord_starts(solver, reps)
+        chord_starts = _chord_starts(solver, reps, n_old)
         if not len(chord_starts):
             break
         n_starts_total += len(chord_starts)
@@ -807,10 +850,10 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
         n_converged += more_converged
         if not len(more_roots):
             break
-        merged, _ = _cluster(np.concatenate([reps, more_roots]), config.dedup_tol)
+        merged, _ = _cluster(more_roots, config.dedup_tol, prior=reps)
         if len(merged) == len(reps):
             break
-        reps = merged
+        reps, n_old = merged, len(reps)
 
     return _assemble_report(solver, solver.polish(reps), config,
                             n_starts=n_starts_total, n_converged=n_converged)

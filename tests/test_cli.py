@@ -1,11 +1,12 @@
 """End-to-end CLI tests through main(argv), covering all exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from modecount import Mixture, write_mixture
+from modecount import Mixture, cli, write_mixture
 from modecount.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -233,6 +234,27 @@ def test_verify_csv(capsys, pair_file):
     assert code == EXIT_OK
     assert out.splitlines()[1] == "verdict,claim,verified_modes,n_critical"
     assert out.splitlines()[2] == "PASS,2,2,3"
+
+
+def test_cli_fails_a_report_that_breaks_only_the_morse_equality(capsys, pair_file, monkeypatch):
+    solve = cli.find_critical_points
+
+    def equality_broken(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        assert report.all_nondegenerate and report.morse_inequality_ok and report.upper_sandwich_ok
+        return dataclasses.replace(report, morse_equality_ok=False)
+
+    monkeypatch.setattr(cli, "find_critical_points", equality_broken)
+    code, out, _ = run(capsys, ["solve", pair_file])
+    assert code == EXIT_VERIFICATION
+    assert "morse_inequality_ok: True   morse_equality_ok: False" in out
+    code, out, _ = run(capsys, ["verify", pair_file, "--claim", "2"])
+    assert code == EXIT_VERIFICATION and "verdict: FAIL" in out
+    assert "morse_equality_ok: False" in out
+    code, out, _ = run(capsys, ["verify", pair_file, "--claim", "2", "--output", "json"])
+    doc = json.loads(out)
+    assert doc["verdict"] == "FAIL" and doc["morse_equality_ok"] is False
+    assert doc["morse_inequality_ok"] is True and doc["upper_sandwich_ok"] is True
 
 
 def test_verify_degenerate_is_inconclusive(capsys, tmp_path):

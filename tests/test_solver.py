@@ -24,6 +24,7 @@ from modecount import (
     x_of_y,
 )
 
+from modecount.construct import REALIZE_EPSILON, simplex_seed
 from modecount.mixture import logsumexp
 from modecount.solver import _chord_starts, _cluster, _dedup_points, _halvings_per_round, _LogSolver
 
@@ -502,17 +503,21 @@ def test_chord_quarter_points_find_every_root():
     assert report.n_critical == 7
     assert report.counts_by_index == {5: 3, 6: 4}
     assert report.morse_inequality_ok
-    assert report.n_starts <= 200      # 386 with the mean-shift chains and the segments to the means
+    # 386 with the mean-shift chains and the segments to the means, 152 with
+    # every round reseeding every chord
+    assert report.n_starts <= 120
 
 
-def chord_starts_one_halving_at_a_time(solver, reps):
+def chord_starts_one_halving_at_a_time(solver, reps, n_old=0):
     """Reference chord starts whose bisection evaluates one midpoint per call.
 
-    Returns the seeds, in the order `_chord_starts` returns them, and the
-    number of slope brackets that were bisected.
+    Seeds the chords (i, j), i < j, with j >= n_old, in the order of a loop
+    over i and then j.  Returns the seeds, in the order `_chord_starts`
+    returns them, and the number of slope brackets that were bisected.
     """
     d = reps.shape[1]
-    first, second = np.triu_indices(len(reps), 1)
+    pairs = [(i, j) for i in range(len(reps)) for j in range(i + 1, len(reps)) if j >= n_old]
+    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
     origins = reps[first]
     chords = reps[second] - origins
     keep = np.linalg.norm(chords, axis=1) > 0.0
@@ -550,26 +555,87 @@ def test_chord_starts_match_one_halving_at_a_time():
     d1k6 = padded_d1k6_mixture()
     d1k6_roots = np.array([p.location for p in find_critical_points(d1k6).points])
     cases = [
-        (sweep0, None, 5),                 # one bracket
-        (d1k6, None, 1),                   # 145 brackets
-        (d1k6, d1k6_roots[:6], 3),         # 20 brackets: 13 rounds of 3, then one of 1
+        (sweep0, None, 0, 5),              # one bracket
+        (d1k6, None, 0, 1),                # 145 brackets
+        (d1k6, d1k6_roots[:6], 0, 3),      # 20 brackets: 13 rounds of 3, then one of 1
+        (d1k6, d1k6_roots, 6, 1),          # only the chords that touch the last 5 roots
+        (d1k6, d1k6_roots, 10, 3),         # only the chords to the last root
     ]
-    for m, reps, per_round in cases:
+    for m, reps, n_old, per_round in cases:
         if reps is None:
             reps = np.array([p.location for p in find_critical_points(m).points])
         solver = _LogSolver(m)
-        want, n_brackets = chord_starts_one_halving_at_a_time(solver, reps)
+        want, n_brackets = chord_starts_one_halving_at_a_time(solver, reps, n_old)
         assert n_brackets > 0 and _halvings_per_round(n_brackets) == per_round
-        assert np.array_equal(_chord_starts(solver, reps), want)
+        assert np.array_equal(_chord_starts(solver, reps, n_old), want)
+    assert _chord_starts(_LogSolver(d1k6), d1k6_roots, len(d1k6_roots)).shape == (0, 1)
 
 
-def cluster_representatives_loop(candidates, tol):
+@pytest.fixture(scope="module")
+def simplex_d5k6():
+    """The simplex seed seed_closure_bound(5, 6, simplex_family) realizes, and its report."""
+    m, _ = simplex_seed(6, REALIZE_EPSILON)
+    return m, find_critical_points(m)
+
+
+def test_restart_rounds_keep_simplex_d5k6_witness(simplex_d5k6):
+    # 5,709 starts when every round reseeded every chord, the last round of
+    # 3,414 finding nothing new
+    _, report = simplex_d5k6
+    assert report.n_critical == 43
+    assert report.counts_by_index == {3: 15, 4: 21, 5: 7}
+    assert report.all_nondegenerate and report.morse_inequality_ok and report.morse_equality_ok
+    assert report.n_starts <= 3600
+
+
+def test_restart_rounds_seed_only_chords_to_new_roots(monkeypatch):
+    # every chord between two representatives of the previous round was
+    # seeded in that round, and the representatives do not move
+    rounds = []
+
+    def spy(solver, reps, n_old):
+        seeds = _chord_starts(solver, reps, n_old)
+        rounds.append((reps.copy(), seeds))
+        return seeds
+
+    monkeypatch.setattr("modecount.solver._chord_starts", spy)
+    m, _ = simplex_seed(5, REALIZE_EPSILON)
+    report = find_critical_points(m)
+    assert report.n_critical == 11 and len(rounds) >= 2
+    solver = _LogSolver(m)
+    for (old_reps, _), (reps, seeds) in zip(rounds, rounds[1:]):
+        assert len(reps) > len(old_reps)
+        assert np.array_equal(reps[:len(old_reps)], old_reps)
+        old_seeds, _ = chord_starts_one_halving_at_a_time(solver, old_reps)
+        assert not set(map(tuple, seeds)) & set(map(tuple, old_seeds))
+        want, _ = chord_starts_one_halving_at_a_time(solver, reps, len(old_reps))
+        assert np.array_equal(seeds, want)
+
+
+def test_reduced_reference_is_stable_at_ties(simplex_d5k6):
+    # at points where two components tie by symmetry, the reported chart is
+    # the lowest tied index, whichever way the location's last ulp rounds
+    m, report = simplex_d5k6
+    solver = _LogSolver(m)
+    ties = 0
+    for p in report.points:
+        terms = solver.component_terms(p.location[None])[0][0]
+        tied = np.flatnonzero(terms >= terms.max() - 1e-12 * (1.0 + abs(terms.max())))
+        ties += len(tied) > 1
+        assert p.reduced_reference == tied[0]
+        for toward in (np.inf, -np.inf):
+            nudged = classify(m, np.nextafter(p.location, toward))
+            assert nudged.reduced_reference == p.reduced_reference
+    assert ties > 0
+
+
+def cluster_representatives_loop(candidates, tol, prior=()):
     """Reference greedy clustering: plain Python loop over representatives.
 
-    Returns the representatives and, for each candidate, the index of the
-    first representative within tolerance.
+    Returns the representatives, the prior ones first, and, for each
+    candidate, the index of the first representative within tolerance.
     """
-    reps, labels = [], [None] * len(candidates)
+    reps, labels = list(prior), [None] * len(candidates)
     for idx in sorted(range(len(candidates)), key=lambda i: tuple(candidates[i])):
         x = candidates[idx]
         hits = [j for j, r in enumerate(reps) if np.linalg.norm(x - r) <= tol * (1.0 + np.linalg.norm(r))]
@@ -596,6 +662,15 @@ def test_cluster_representatives_matches_loop():
         got, got_labels = _cluster(candidates, 1e-6)
         want, want_labels = cluster_representatives_loop(candidates, 1e-6)
         assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert list(got_labels) == want_labels
+        # around fixed representatives: the prior rows come back unchanged and
+        # first, and a candidate near one joins the first such prior row
+        prior = centres[rng.permutation(len(centres))[:int(rng.integers(0, len(centres) + 1))]]
+        prior = prior + rng.standard_normal(prior.shape) * 1e-7
+        got, got_labels = _cluster(candidates, 1e-6, prior=prior)
+        want, want_labels = cluster_representatives_loop(candidates, 1e-6, prior)
+        assert len(got) == len(want) and np.array_equal(got[:len(prior)], prior)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert list(got_labels) == want_labels
     # fold-shaped input: one degenerate root split into dozens of clusters
