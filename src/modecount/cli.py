@@ -30,8 +30,10 @@ from .bounds import (
     upper_bound,
 )
 from .construct import (
+    DEFAULT_EPSILON,
     PAD_BOUNDARY_SEED,
     REALIZE_EPSILON,
+    TILT_MAGNITUDE,
     TILT_SEED,
     PaddingError,
     PaddingSpec,
@@ -43,7 +45,7 @@ from .construct import (
     simplex_seed,
 )
 from .mixture import MixtureFormatError, mixture_to_dict, read_mixture, write_mixture
-from .solver import SolverConfig, find_critical_points, solve_reduced_homoscedastic
+from .solver import MAX_COMPONENTS, MAX_DIM, SolverConfig, find_critical_points, solve_reduced_homoscedastic
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -81,16 +83,19 @@ def _emit(doc: dict, fmt: str, text: str | None = None, csv: str | None = None) 
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    kwargs = {}
-    if getattr(args, "tol_grad", None) is not None:
+    kwargs = {"force": args.force}
+    if args.tol_grad is not None:
         kwargs["grad_accept_tol"] = args.tol_grad
-    if getattr(args, "tol_dedup", None) is not None:
+    if args.tol_dedup is not None:
         kwargs["dedup_tol"] = args.tol_dedup
-    if getattr(args, "tol_degenerate", None) is not None:
+    if args.tol_degenerate is not None:
         kwargs["degeneracy_tol"] = args.tol_degenerate
-    if getattr(args, "force", False):
-        kwargs["force"] = True
     return SolverConfig(**kwargs)
+
+
+def _checks_ok(report) -> bool:
+    """The report's own pass rule, shared by `solve` and `verify`."""
+    return report.morse_inequality_ok and report.morse_equality_ok and report.upper_sandwich_ok
 
 
 def _report_text(report, header: str) -> str:
@@ -259,8 +264,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         " (rank-reduced)" if args.reduce_rank else ""
     )
     _emit(doc, args.output, text=_report_text(report, header), csv=_report_csv(report))
-    checks_ok = report.morse_inequality_ok and report.morse_equality_ok and report.upper_sandwich_ok
-    return EXIT_OK if checks_ok else EXIT_VERIFICATION
+    return EXIT_OK if _checks_ok(report) else EXIT_VERIFICATION
 
 
 def _parse_seed_list(text: str) -> list[SeedTriple]:
@@ -286,7 +290,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.kind == "simplex":
             if args.K is None:
                 raise ValueError("construct simplex needs --K")
-            eps = 0.1 if args.eps is None else args.eps
+            eps = DEFAULT_EPSILON if args.eps is None else args.eps
             mixture, expected = simplex_seed(args.K, eps)
             provenance = {
                 "kind": "simplex",
@@ -386,15 +390,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     degenerate_present = any(p.degenerate for p in report.points)
     if degenerate_present:
+        mantissa, exponent = f"{TILT_MAGNITUDE:.0e}".split("e")
         verdict = "INCONCLUSIVE"
         exit_code = EXIT_INCONCLUSIVE
         note = ("degenerate critical points present; retry after a small exponential tilt "
-                "(tilt_polish applies |c| = 1e-3, halving on failure)")
+                f"(tilt_polish applies |c| = {mantissa}e{int(exponent)}, halving on failure)")
     else:
-        ok = (report.n_modes >= args.claim
-              and report.morse_inequality_ok
-              and report.morse_equality_ok
-              and report.upper_sandwich_ok)
+        ok = report.n_modes >= args.claim and _checks_ok(report)
         verdict = "PASS" if ok else "FAIL"
         exit_code = EXIT_OK if ok else EXIT_VERIFICATION
         note = None
@@ -450,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-degenerate", type=float, default=None,
                        help="eigenvalue-ratio degeneracy tolerance (default 1e-8)")
         p.add_argument("--force", action="store_true",
-                       help="solve beyond the default d <= 6, k <= 6 limits")
+                       help=f"solve beyond the default d <= {MAX_DIM}, k <= {MAX_COMPONENTS} limits")
 
     p_bounds = sub.add_parser("bounds", help="evaluate one bound family at (d, k)")
     p_bounds.add_argument("family", help="family name, e.g. BEST, HET, AUG, AEH, BEST_HOM, "
@@ -489,7 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--out", required=True, help="output mixture file path")
     p_con.add_argument("--K", type=int, default=None, help="simplex component count")
     p_con.add_argument("--eps", type=float, default=None,
-                       help="simplex covariance excess (default 0.1; recipes realize at 0.05)")
+                       help=f"simplex covariance excess (default {DEFAULT_EPSILON}; "
+                            f"recipes realize at {REALIZE_EPSILON})")
     p_con.add_argument("--base", default=None, help="base mixture file for padding")
     p_con.add_argument("--count", type=int, default=1, help="number of padding components")
     p_con.add_argument("--theta", type=float, default=0.25, help="padding weight in (0, 1/2]")

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from .bounds import SeedRecipe, SeedTriple
 from .mixture import Mixture, tilt
-from .solver import SolverConfig, SolveReport, find_critical_points
+from .solver import NEWTON_TOL, SolverConfig, SolveReport, find_critical_points
 
 __all__ = [
     "PaddingSpec",
@@ -38,8 +38,10 @@ DEFAULT_EPSILON = 0.1
 REALIZE_EPSILON = 0.05
 TILT_SEED = 0x5EED
 TILT_MAGNITUDE = 1e-3
+TILT_RETRIES = 5
 PAD_BOUNDARY_SEED = 0xBD
 MAX_SEPARATION_DOUBLINGS = 40
+_RAY_GRID, _RAY_XTOL = 10_000, 1e-14     # see `radial_critical_roots`
 
 
 class PaddingError(RuntimeError):
@@ -106,13 +108,14 @@ def simplex_seed(K: int, epsilon: float = DEFAULT_EPSILON) -> tuple[Mixture, int
     return mixture, K + 1 if ray_modes else 1
 
 
-def radial_critical_roots(n: int, a: float, grid: int = 10_000, tol: float = 1e-12) -> list[float]:
+def radial_critical_roots(n: int, a: float) -> list[float]:
     """Roots in (0, 1) of (1-t)e^{at} = 1+nt, the ray criticality equation.
 
-    Scans ell_a(t) = log(1-t) + a t - log(1+nt) on a uniform grid and
-    refines each sign change by bisection.  The root t = 0 is excluded by
-    the open interval.  Returns an ascending list, possibly empty: the
-    equation has two roots only for a in a window below n+1.
+    Scans ell_a(t) = log(1-t) + a t - log(1+nt) on a uniform grid of
+    _RAY_GRID intervals and refines each sign change with brentq at xtol
+    _RAY_XTOL.  The root t = 0 is excluded by the open interval.
+    Returns an ascending list, possibly empty: the equation has two roots
+    only for a in a window below n+1.
     """
     if n < 2:
         raise ValueError("ray analysis needs n >= 2")
@@ -122,7 +125,7 @@ def radial_critical_roots(n: int, a: float, grid: int = 10_000, tol: float = 1e-
     def ell(t: float) -> float:
         return math.log1p(-t) + a * t - math.log1p(n * t)
 
-    ts = np.linspace(0.0, 1.0, grid + 1)[1:-1]
+    ts = np.linspace(0.0, 1.0, _RAY_GRID + 1)[1:-1]
     values = np.log1p(-ts) + a * ts - np.log1p(n * ts)
     # np.log1p and math.log1p may differ in the last ulp; entries that close
     # to zero take the scalar ell that brentq refines, so the brackets and
@@ -135,7 +138,7 @@ def radial_critical_roots(n: int, a: float, grid: int = 10_000, tol: float = 1e-
         if values[i] == 0.0:
             roots.append(float(ts[i]))
         else:
-            roots.append(float(brentq(ell, ts[i], ts[i + 1], xtol=tol * 1e-2)))
+            roots.append(float(brentq(ell, ts[i], ts[i + 1], xtol=_RAY_XTOL)))
     return roots
 
 
@@ -315,22 +318,22 @@ def pad_remote(
 def tilt_polish(
     mixture: Mixture,
     config: SolverConfig | None = None,
-    magnitude: float = TILT_MAGNITUDE,
     seed: int = TILT_SEED,
-    retries: int = 5,
 ) -> tuple[Mixture, SolveReport]:
     """Small generic exponential tilt to clear near-degenerate critical points.
 
     Tilting by e^{c.x} perturbs the critical configuration without changing
     component count; for generic small c all critical points become
-    nondegenerate.  Retries with halved magnitude, fixed RNG seed.
+    nondegenerate.  Makes up to TILT_RETRIES attempts, from |c| =
+    TILT_MAGNITUDE halving each time, with a fixed RNG seed.
     Returns the first all-nondegenerate (tilted mixture, report) pair, or
     the last attempt if none succeeds.
     """
     config = config or SolverConfig()
     rng = np.random.default_rng(seed)
+    magnitude = TILT_MAGNITUDE
     last: tuple[Mixture, SolveReport] | None = None
-    for _ in range(max(1, retries)):
+    for _ in range(TILT_RETRIES):
         direction = rng.standard_normal(mixture.dim)
         direction /= np.linalg.norm(direction)
         tilted = tilt(mixture, magnitude * direction)
@@ -428,7 +431,7 @@ def realize_recipe(
         "epsilon": epsilon,
         "tilt_applied": tilted,
         "tolerances": {
-            "newton_tol": config.newton_tol,
+            "newton_tol": NEWTON_TOL,
             "dedup_tol": config.dedup_tol,
             "degeneracy_tol": config.degeneracy_tol,
             "grad_accept_tol": config.grad_accept_tol,

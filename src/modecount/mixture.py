@@ -30,8 +30,9 @@ __all__ = [
     "MixtureFormatError",
 ]
 
-# Validation tolerances.  The underlying math never fixes these for floating
-# point inputs, so they are explicit keyword knobs with these defaults.
+# Numerical tolerances.  The underlying math never fixes these for floating
+# point inputs; every caller uses these values, so they are module constants
+# rather than arguments.
 COV_SYMMETRY_RTOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
 HOMOSCEDASTIC_RTOL = 1e-10
@@ -227,12 +228,12 @@ class Mixture:
     def log_norms(self) -> np.ndarray:
         return _readonly([c.log_norm for c in self.components])
 
-    def is_homoscedastic(self, rtol: float = HOMOSCEDASTIC_RTOL) -> bool:
-        """True iff all covariances agree entrywise within relative tolerance."""
+    def is_homoscedastic(self) -> bool:
+        """True iff all covariances agree entrywise within relative tolerance HOMOSCEDASTIC_RTOL."""
         ref = self.components[0].covariance
         for c in self.components[1:]:
             denom = max(np.abs(ref).max(), np.abs(c.covariance).max())
-            if np.abs(c.covariance - ref).max() > rtol * denom:
+            if np.abs(c.covariance - ref).max() > HOMOSCEDASTIC_RTOL * denom:
                 return False
         return True
 
@@ -317,11 +318,11 @@ def tilt(mixture: Mixture, c: np.ndarray) -> Mixture:
     return Mixture(comps)
 
 
-def affine_rank(means: Sequence[np.ndarray] | np.ndarray, tol: float = AFFINE_RANK_TOL) -> int:
+def affine_rank(means: Sequence[np.ndarray] | np.ndarray) -> int:
     """Dimension of the affine hull of the given points.
 
     Singular values of the matrix with rows mu_i - mu_1 are thresholded at
-    tol times the largest one; coincident points give rank 0.
+    AFFINE_RANK_TOL times the largest one; coincident points give rank 0.
     """
     m = np.atleast_2d(np.asarray(means, dtype=float))
     if m.shape[0] == 0:
@@ -332,7 +333,7 @@ def affine_rank(means: Sequence[np.ndarray] | np.ndarray, tol: float = AFFINE_RA
     s = np.linalg.svd(diff, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > AFFINE_RANK_TOL * s[0]))
 
 
 @dataclass(frozen=True)
@@ -373,11 +374,7 @@ class AffineMap:
         return self.apply(x)
 
 
-def reduce_homoscedastic(
-    mixture: Mixture,
-    rank_tol: float = AFFINE_RANK_TOL,
-    hom_rtol: float = HOMOSCEDASTIC_RTOL,
-) -> tuple[AffineMap, Mixture, float]:
+def reduce_homoscedastic(mixture: Mixture) -> tuple[AffineMap, Mixture, float]:
     """Reduce a homoscedastic mixture onto the affine hull of its means.
 
     Returns (map, reduced, constant): `map` is T(x) = O B (x - mu_1) with
@@ -391,7 +388,7 @@ def reduce_homoscedastic(
     Raises if the input is heteroscedastic or all means coincide (r = 0); a
     single-Gaussian caller should handle that case directly.
     """
-    if not mixture.is_homoscedastic(rtol=hom_rtol):
+    if not mixture.is_homoscedastic():
         raise ValueError("mixture is not homoscedastic at the configured tolerance")
     d = mixture.dim
     base = mixture.means[0]
@@ -400,7 +397,7 @@ def reduce_homoscedastic(
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         raise ValueError("all means coincide (affine rank 0); reduce has nothing to keep")
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
+    r = int(np.count_nonzero(s > AFFINE_RANK_TOL * s[0]))
     if r == 0:
         raise ValueError("all means coincide (affine rank 0); reduce has nothing to keep")
     amap = AffineMap(orthogonal=vt, whiten=whiten, base=base)

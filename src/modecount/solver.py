@@ -47,40 +47,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and search parameters for `find_critical_points`.
+    """The tolerances a caller of `find_critical_points` may set.
 
-    The defaults implement the documented contract: Newton in log ratio
-    coordinates converging at 1e-12 (relative to the largest log-ratio of
-    the row, see `_LogSolver`), relative dedup at 1e-6, degeneracy
-    flagged below eigenvalue ratio 1e-8, and points accepted as critical
-    when the density-relative gradient norm is below 1e-9.  The starts
-    (component means, mean midpoints and chord starts) are fixed by
-    `find_critical_points`, and the polish of the roots in the original
-    coordinates runs the same damped Newton loop with constants of its own
-    (`_LogSolver.polish`), not configured here.  Each row's path, in the
-    solve and in the polish, does not depend on the rows beside it.
-
-    The Newton line search tries `max_halvings` = 12 rungs, the Newton step
-    scaled by 1, 1/2, ..., 1/2048, takes the first that lowers the residual
-    norm, and drops a start that no rung improves.  `_damped_newton`
-    evaluates the full step together with its Newton matrix and the other
-    rungs in one stacked call.  A start that cannot lower its residual with
-    1/2048 of its Newton step has slid into a local minimum of the residual
-    norm that is not a root, where the Jacobian turns singular; deeper rungs
-    only let it crawl on rounding-noise decreases for up to
-    `newton_max_iter` steps.  The cap drops those starts after one ladder;
-    on the benchmark's instances it changed no count of critical points,
-    modes or indices, only how many starts converge.
+    Relative dedup at 1e-6, degeneracy flagged below eigenvalue ratio 1e-8,
+    and points accepted as critical when the density-relative gradient norm
+    is below 1e-9; `force` lifts the size limits MAX_DIM and MAX_COMPONENTS.
+    The Newton solve and the polish of the roots run one damped Newton loop
+    (`_damped_newton`) with module constants (NEWTON_TOL, NEWTON_MAX_ITER,
+    MAX_HALVINGS and _POLISH_*), and the starts (component means, mean
+    midpoints and chord starts) are fixed by `find_critical_points`.
     """
 
-    newton_max_iter: int = 200
-    newton_tol: float = 1e-12
-    max_halvings: int = 12
     dedup_tol: float = 1e-6
     degeneracy_tol: float = 1e-8
     grad_accept_tol: float = 1e-9
-    max_dim: int = 6
-    max_components: int = 6
     force: bool = False
 
     def to_dict(self) -> dict:
@@ -299,26 +279,25 @@ class _LogSolver:
         jac = np.eye(u.shape[1]) - np.einsum("bkd,bdm->bkm", grads, cols)
         return s, jac
 
-    def _row_tols(self, u: np.ndarray, tol: float) -> np.ndarray:
+    def _row_tols(self, u: np.ndarray) -> np.ndarray:
         # Residual entries are differences of log-density terms of size |u|,
         # so the attainable floor grows with the largest log-ratio; a root a
         # few thousand log-units from its chart can never reach an absolute
         # 1e-12.
-        return tol * (1.0 + np.max(np.abs(u), axis=1))
+        return NEWTON_TOL * (1.0 + np.max(np.abs(u), axis=1))
 
-    def solve_batch(self, x0: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, int]:
+    def solve_batch(self, x0: np.ndarray) -> tuple[np.ndarray, int]:
         """Damped Newton from each seed point in its dominant chart; returns (roots, count)."""
-        u, converged = self.iterate(*self.chart_coords(x0), config)
+        u, converged = self.iterate(*self.chart_coords(x0))
         return self.x_batch(u[converged])[0], int(np.count_nonzero(converged))
 
-    def iterate(self, u0: np.ndarray, charts: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    def iterate(self, u0: np.ndarray, charts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`_damped_newton` on every row of log-ratios u0 in its chart; returns (rows, converged mask)."""
         return _damped_newton(
             u0,
             lambda u, rows: self.residual_and_jacobian_batch(u, charts[rows]),
             lambda u, rows: self.residual_batch(u, charts[rows]),
-            lambda u: self._row_tols(u, config.newton_tol),
-            config.newton_max_iter, config.max_halvings,
+            self._row_tols, NEWTON_MAX_ITER, MAX_HALVINGS,
         )
 
     def relative_gradient(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -349,6 +328,19 @@ class _LogSolver:
                               lambda points: _POLISH_GRAD_TOL, _POLISH_STEPS, _POLISH_RUNGS)[0]
 
 
+# Newton on the log-ratio system stops a row at residual norm
+# NEWTON_TOL * (1 + max |u|) (see `_LogSolver._row_tols`), after
+# NEWTON_MAX_ITER steps, or when none of MAX_HALVINGS rungs lowers it: the
+# Newton step scaled by 1, 1/2, ..., 1/2048.  A start that cannot lower its
+# residual with 1/2048 of its Newton step has slid into a local minimum of
+# the residual norm that is not a root, where the Jacobian turns singular;
+# deeper rungs only let it crawl on rounding-noise decreases for up to
+# NEWTON_MAX_ITER steps.  The cap drops those starts after one ladder; on
+# the benchmark's instances it changed no count of critical points, modes
+# or indices, only how many starts converge.
+NEWTON_TOL, NEWTON_MAX_ITER, MAX_HALVINGS = 1e-12, 200, 12
+# `find_critical_points` refuses larger instances unless `SolverConfig.force`
+MAX_DIM, MAX_COMPONENTS = 6, 6
 # polish stops a row at this gradient norm, after this many steps, or when
 # none of this many rungs lowers its gradient norm
 _POLISH_GRAD_TOL, _POLISH_STEPS, _POLISH_RUNGS = 1e-15, 8, 20
@@ -821,10 +813,10 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     d, k = mixture.dim, mixture.n_components
     if k == 1:
         return _assemble_report(_LogSolver(mixture), mixture.means, config, n_starts=1, n_converged=1)
-    if (d > config.max_dim or k > config.max_components) and not config.force:
+    if (d > MAX_DIM or k > MAX_COMPONENTS) and not config.force:
         raise ValueError(
             f"instance size d={d}, k={k} exceeds configured limits "
-            f"(max_dim={config.max_dim}, max_components={config.max_components}); "
+            f"(max_dim={MAX_DIM}, max_components={MAX_COMPONENTS}); "
             "set force=True to override"
         )
 
@@ -832,7 +824,7 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     first, second = np.triu_indices(k, 1)
     starts = np.concatenate([mixture.means, 0.5 * (mixture.means[first] + mixture.means[second])])
 
-    roots, n_converged = solver.solve_batch(starts, config)
+    roots, n_converged = solver.solve_batch(starts)
     reps, _ = _cluster(roots, config.dedup_tol)
     n_starts_total, n_old = len(starts), 0
 
@@ -846,7 +838,7 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
         if not len(chord_starts):
             break
         n_starts_total += len(chord_starts)
-        more_roots, more_converged = solver.solve_batch(chord_starts, config)
+        more_roots, more_converged = solver.solve_batch(chord_starts)
         n_converged += more_converged
         if not len(more_roots):
             break

@@ -141,6 +141,16 @@ def test_solve_json(capsys, pair_file):
     assert doc["config"]["solver"]["grad_accept_tol"] == 1e-9
 
 
+def test_solve_echoes_every_solver_option(capsys, pair_file):
+    code, out, _ = run(capsys, ["solve", pair_file, "--output", "json", "--tol-grad", "1e-8",
+                                "--tol-dedup", "1e-5", "--tol-degenerate", "1e-7", "--force"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    expected = {"dedup_tol": 1e-5, "degeneracy_tol": 1e-7, "grad_accept_tol": 1e-8, "force": True}
+    assert doc["config"]["solver"] == expected
+    assert doc["report"]["config"] == expected
+
+
 def test_solve_csv_columns(capsys, pair_file):
     code, out, _ = run(capsys, ["solve", pair_file, "--output", "csv"])
     assert code == EXIT_OK
@@ -265,7 +275,7 @@ def test_verify_degenerate_is_inconclusive(capsys, tmp_path):
     assert code == EXIT_INCONCLUSIVE
     doc = json.loads(out)
     assert doc["verdict"] == "INCONCLUSIVE"
-    assert "tilt" in doc["note"]
+    assert "(tilt_polish applies |c| = 1e-3, halving on failure)" in doc["note"]
 
 
 # -- construct ----------------------------------------------------------------------
@@ -282,6 +292,16 @@ def test_construct_simplex_roundtrip(capsys, tmp_path):
     assert prov["expected_modes"] == 4 and prov["verified_modes"] is None
     code, out, _ = run(capsys, ["verify", out_path, "--claim", "4"])
     assert code == EXIT_OK and "verdict: PASS" in out
+
+
+def test_construct_simplex_default_epsilon(capsys, tmp_path):
+    out_path = str(tmp_path / "s4.json")
+    code, out, _ = run(capsys, ["construct", "simplex", "--K", "4", "--out", out_path,
+                                "--output", "json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["provenance"]["epsilon"] == 0.1
+    prov = json.loads(open(out_path + ".provenance.json").read())
+    assert prov["epsilon"] == 0.1 and prov["expected_modes"] == 5
 
 
 def test_construct_product(capsys, tmp_path, pair_file):

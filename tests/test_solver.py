@@ -1,6 +1,7 @@
 """Solver tests: reduced system algebra, Newton search, classification."""
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -24,8 +25,9 @@ from modecount import (
     x_of_y,
 )
 
-from modecount.construct import REALIZE_EPSILON, simplex_seed
-from modecount.mixture import logsumexp
+from modecount import solver as solver_module
+from modecount.construct import REALIZE_EPSILON, radial_critical_roots, simplex_seed, tilt_polish
+from modecount.mixture import affine_rank, logsumexp, reduce_homoscedastic
 from modecount.solver import _chord_starts, _cluster, _dedup_points, _halvings_per_round, _LogSolver
 
 from conftest import random_mixture_1d, random_spd
@@ -171,19 +173,20 @@ def test_jacobian_singularity_tracks_hessian():
 # -- batched Newton in log-ratio coordinates ---------------------------------------
 
 
-def solve_batch_one_rung_at_a_time(solver, u0, charts, config):
+def solve_batch_one_rung_at_a_time(solver, u0, charts, rungs=solver_module.MAX_HALVINGS):
     """Reference damped Newton whose line search tries one halving per call.
 
-    Like `_LogSolver.iterate`, it runs each row of log-ratios in its own
-    chart and returns the final rows with the mask of converged ones.
+    Like `_LogSolver.iterate` with MAX_HALVINGS = rungs, it runs each row of
+    log-ratios in its own chart and returns the final rows with the mask of
+    converged ones.
     """
     u = np.array(u0, dtype=float)
     norms = np.full(u.shape[0], np.inf)
     finite = np.all(np.isfinite(u), axis=1)
     if np.any(finite):
         norms[finite] = np.linalg.norm(solver.residual_batch(u[finite], charts[finite]), axis=1)
-    active = np.isfinite(norms) & (norms > solver._row_tols(u, config.newton_tol))
-    for _ in range(config.newton_max_iter):
+    active = np.isfinite(norms) & (norms > solver._row_tols(u))
+    for _ in range(solver_module.NEWTON_MAX_ITER):
         if not np.any(active):
             break
         idx = np.flatnonzero(active)
@@ -193,7 +196,7 @@ def solve_batch_one_rung_at_a_time(solver, u0, charts, config):
         active[idx[~good]] = False
         pending, steps = idx[good], steps[good]
         scale = np.ones(len(pending))
-        for _ in range(config.max_halvings):
+        for _ in range(rungs):
             if not len(pending):
                 break
             cand = u[pending] + scale[:, None] * steps
@@ -203,8 +206,8 @@ def solve_batch_one_rung_at_a_time(solver, u0, charts, config):
             norms[pending[better]] = cand_norms[better]
             pending, steps, scale = pending[~better], steps[~better], scale[~better] * 0.5
         active[pending] = False
-        active &= norms > solver._row_tols(u, config.newton_tol)
-    return u, norms <= solver._row_tols(u, config.newton_tol)
+        active &= norms > solver._row_tols(u)
+    return u, norms <= solver._row_tols(u)
 
 
 def het_d6k5_solver(seed=41):
@@ -320,7 +323,7 @@ def random_starts(rng, k, spread, n):
     return u0 - u0[np.arange(n), charts][:, None], charts
 
 
-def test_blocked_ladder_matches_one_rung_at_a_time():
+def test_blocked_ladder_matches_one_rung_at_a_time(monkeypatch):
     rng = np.random.default_rng(43)
     # spreads chosen so that many rows halve deep into the ladder or give up;
     # 100 more rows start from seed points, as `solve_batch` starts them
@@ -335,14 +338,13 @@ def test_blocked_ladder_matches_one_rung_at_a_time():
         x0 = rng.uniform(m.means.min(axis=0) - spread, m.means.max(axis=0) + spread, size=(100, m.dim))
         seed_u0, seed_charts = solver.chart_coords(x0)
         u0, charts = np.concatenate([u0, seed_u0]), np.concatenate([charts, seed_charts])
-        configs = (SolverConfig(), SolverConfig(max_halvings=60),
-                   SolverConfig(max_halvings=5), SolverConfig(max_halvings=0))
-        for config in configs:
-            u, converged = solver.iterate(u0, charts, config)
-            ref_u, ref_converged = solve_batch_one_rung_at_a_time(solver, u0, charts, config)
+        for rungs in (12, 60, 5, 0):
+            monkeypatch.setattr(solver_module, "MAX_HALVINGS", rungs)
+            u, converged = solver.iterate(u0, charts)
+            ref_u, ref_converged = solve_batch_one_rung_at_a_time(solver, u0, charts, rungs)
             assert np.array_equal(converged, ref_converged)
             assert np.array_equal(u, ref_u)
-            roots, count = solver.solve_batch(x0, config)
+            roots, count = solver.solve_batch(x0)
             assert count == np.count_nonzero(converged[300:])
             assert np.array_equal(roots, solver.x_batch(u[300:][converged[300:]])[0])
 
@@ -363,22 +365,24 @@ def counting_residual_calls(solver):
     return counts
 
 
-def test_stalled_rows_give_up_after_one_ladder():
+def test_stalled_rows_give_up_after_one_ladder(monkeypatch):
     # rows that cannot lower |S| with 1/2048 of their Newton step sit in a
     # local minimum of |S| that is not a root; the default cap drops them
     # instead of letting them crawl through 60 rungs for 200 iterations
     u0, charts = random_starts(np.random.default_rng(43), 5, 8.0, 300)
     rows = []
-    for config in (SolverConfig(), SolverConfig(max_halvings=60)):
+    assert solver_module.MAX_HALVINGS == 12
+    for rungs in (12, 60):
+        monkeypatch.setattr(solver_module, "MAX_HALVINGS", rungs)
         solver = het_d6k5_solver()
         inner = solver.residual_batch
         counts = counting_residual_calls(solver)
-        u, converged = solver.iterate(u0, charts, config)
+        u, converged = solver.iterate(u0, charts)
         roots, root_charts = u[converged], charts[converged]
         rows.append(sum(rows_seen for _, rows_seen in counts.values()))
         assert len(roots) > 0
         norms = np.linalg.norm(inner(roots, root_charts), axis=1)
-        assert np.all(norms <= solver._row_tols(roots, config.newton_tol))
+        assert np.all(norms <= solver._row_tols(roots))
     assert rows[0] <= rows[1] / 3
 
 
@@ -394,14 +398,14 @@ def test_full_steps_reuse_their_newton_matrix():
             reference = _LogSolver(m)
             u0, charts = reference.chart_coords(x0)
             ref_counts = counting_residual_calls(reference)
-            ref_u, ref_converged = solve_batch_one_rung_at_a_time(reference, u0, charts, SolverConfig())
+            ref_u, ref_converged = solve_batch_one_rung_at_a_time(reference, u0, charts)
             iterations = ref_counts["residual_and_jacobian_batch"][0]
             # the reference tries one rung per iteration: every full step is taken
             assert ref_counts["residual_batch"][0] == iterations + 1
             assert ref_converged.all()
             solver = _LogSolver(m)
             counts = counting_residual_calls(solver)
-            u, converged = solver.iterate(u0, charts, SolverConfig())
+            u, converged = solver.iterate(u0, charts)
             assert counts["residual_and_jacobian_batch"][0] == iterations + 1
             assert counts["residual_batch"][0] == 0
             assert np.array_equal(u, ref_u) and np.array_equal(converged, ref_converged)
@@ -426,18 +430,18 @@ def test_antimode_starts_converge_in_their_dominant_chart():
     solver = _LogSolver(padded_d1k6_mixture())
     for root in (-124.68419998655692, 54.36768907309745):
         x0 = np.array([[root + 1e-8]])
-        roots, count = solver.solve_batch(x0, SolverConfig())
+        roots, count = solver.solve_batch(x0)
         assert count == 1
         assert abs(roots[0, 0] - root) <= 1e-12 * abs(root)
         terms, _ = solver.component_terms(x0)
         in_chart_5 = terms - terms[:, 5:]
-        _, converged = solver.iterate(in_chart_5, np.array([5]), SolverConfig())
+        _, converged = solver.iterate(in_chart_5, np.array([5]))
         assert not converged[0]
 
 
-def test_halving_cap_keeps_critical_set():
+def test_halving_cap_keeps_critical_set(monkeypatch):
     # the default cap drops stalled starts only: the first three instances
-    # lose converged starts against max_halvings=60, and all keep their
+    # lose converged starts against MAX_HALVINGS = 60, and all keep their
     # critical set
     rng = np.random.default_rng(SWEEP_SEED)
     sweep = [random_mixture_1d(rng) for _ in range(79)]
@@ -447,9 +451,12 @@ def test_halving_cap_keeps_critical_set():
         random_mixture(np.random.default_rng(47), 6, 6),
         product(pair_mixture_1d(), pair_mixture_1d()),
     ]
+    assert solver_module.MAX_HALVINGS == 12
     for m in instances:
-        capped = find_critical_points(m, SolverConfig())
-        deep = find_critical_points(m, SolverConfig(max_halvings=60))
+        capped = find_critical_points(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "MAX_HALVINGS", 60)
+            deep = find_critical_points(m)
         assert capped.n_critical == deep.n_critical
         assert capped.counts_by_index == deep.counts_by_index
         assert capped.all_nondegenerate == deep.all_nondegenerate
@@ -794,12 +801,31 @@ def test_reduced_residual_in_dominant_chart_at_remote_points():
 
 
 def test_limits_and_force():
+    # seven components in 1-d exceed MAX_COMPONENTS = 6
     rng = np.random.default_rng(35)
-    m = random_mixture(rng, 1, 3)
-    with pytest.raises(ValueError, match="force=True"):
-        find_critical_points(m, SolverConfig(max_components=2))
-    report = find_critical_points(m, SolverConfig(max_components=2, force=True))
-    assert report.n_critical >= 1
+    m = random_mixture(rng, 1, 7)
+    with pytest.raises(ValueError, match=r"d=1, k=7 exceeds configured limits .*force=True"):
+        find_critical_points(m)
+    report = find_critical_points(m, SolverConfig(force=True))
+    assert report.n_critical >= 1 and report.morse_inequality_ok
+
+
+def test_option_surface_is_pinned():
+    # every caller runs the solver, the homoscedastic reduction and the
+    # witness builders at one set of Newton, size and search parameters,
+    # which are module constants; a new option has to justify itself here
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "dedup_tol", "degeneracy_tol", "grad_accept_tol", "force"]
+    for fn, params in [
+        (affine_rank, ["means"]),
+        (Mixture.is_homoscedastic, ["self"]),
+        (reduce_homoscedastic, ["mixture"]),
+        (tilt_polish, ["mixture", "config", "seed"]),
+        (radial_critical_roots, ["n", "a"]),
+        (_LogSolver.iterate, ["self", "u0", "charts"]),
+        (_LogSolver.solve_batch, ["self", "x0"]),
+    ]:
+        assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
 
 
 def test_classify_rejects_noncritical_point():
