@@ -16,8 +16,8 @@ from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 from .bounds import SeedRecipe, SeedTriple
-from .mixture import Mixture, tilt
-from .solver import NEWTON_TOL, SolverConfig, SolveReport, find_critical_points
+from .mixture import Mixture, logsumexp, tilt
+from .solver import NEWTON_TOL, SolverConfig, SolveReport, _LogSolver, find_critical_points
 
 __all__ = [
     "PaddingSpec",
@@ -211,18 +211,16 @@ def _sphere_directions(d: int, rng: np.random.Generator, extra: int = 32) -> np.
     return np.vstack([axes, raw])
 
 
-def _ball_certifies_mode(mixture: Mixture, center: np.ndarray, radius: float,
+def _ball_certifies_mode(solver: _LogSolver, center: np.ndarray, radius: float,
                          directions: np.ndarray) -> bool:
     """Strict boundary test: density at the center beats every sampled boundary point.
 
     A strict interior maximum of the closed ball certifies a local maximum
-    inside it.
+    inside it.  The center and the boundary points are evaluated in one batch.
     """
-    center_log = mixture.log_density(center)
-    for direction in directions:
-        if mixture.log_density(center + radius * direction) >= center_log:
-            return False
-    return True
+    points = np.vstack([center, center + radius * directions])
+    log_f = logsumexp(solver.component_terms(points)[0], axis=1)
+    return bool(np.all(log_f[1:] < log_f[0]))
 
 
 def _max_std(mixture: Mixture) -> float:
@@ -286,6 +284,7 @@ def pad_remote(
             means = np.vstack([current.means, center])
             covs = np.concatenate([current.covariances, new_cov[None, :, :]])
             candidate = Mixture.from_arrays(weights, means, covs)
+            solver = _LogSolver(candidate)
 
             ok = True
             retained = mode_locations + [center]
@@ -298,7 +297,7 @@ def pad_remote(
                     radius = min(1e-3 * (1.0 + float(np.linalg.norm(loc))), neighbor / 3.0)
                 else:
                     radius = min(2.0 * math.sqrt(float(np.linalg.eigvalsh(new_cov)[-1])), neighbor / 3.0)
-                if radius <= 0.0 or not _ball_certifies_mode(candidate, loc, radius, directions):
+                if radius <= 0.0 or not _ball_certifies_mode(solver, loc, radius, directions):
                     ok = False
                     break
             if ok:

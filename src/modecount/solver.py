@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -233,9 +234,12 @@ class _LogSolver:
         self.precisions = mixture.precisions
         self.pmeans = np.einsum("kij,kj->ki", self.precisions, self.means)
         self.log_wn = mixture.log_weights + mixture.log_norms
-        # the largest eigenvalue of any component precision, the mixture's
-        # curvature scale for the degeneracy test in `_classify`
-        self.curvature_scale = float(np.linalg.eigvalsh(self.precisions).max())
+
+    @cached_property
+    def curvature_scale(self) -> float:
+        """The largest eigenvalue of any component precision, the mixture's
+        curvature scale for the degeneracy test in `_classify`."""
+        return float(np.linalg.eigvalsh(self.precisions).max())
 
     def component_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """L(x) as a (B, k) batch, and A_i (x - mu_i) as (B, k, d), for (B, d) points."""
@@ -444,13 +448,19 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     the slope on a 31-point grid is sharpened by 40 bisection halvings and
     returned as a seed too.
 
+    The slope is taken from the mixture restricted to the chord, which is
+    exactly a 1-d mixture in t: x(t) = a + t c is affine in t and each
+    component term L_i is quadratic in x, so L_i(x(t)) is a concave
+    quadratic in t with no remainder (see `_restrict_to_chords`).  Each chord
+    is restricted once, and a slope then costs O(k) per point instead of the
+    O(k d^2) of a d-dimensional gradient.
+
     The halvings run in rounds of m (see `_halvings_per_round`): one slope
     call evaluates each bracket at all 2^m - 1 dyadic points that its next m
     halvings can visit, and the halvings are then replayed on those values.
     Every t is a dyadic rational with denominator at most 2^45, exact in
     floating point, so the seeds are bit-identical to one halving per call.
     """
-    d = reps.shape[1]
     first, second = np.triu_indices(len(reps), 1)
     new = second >= n_old
     first, second = first[new], second[new]
@@ -458,32 +468,27 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     chords = reps[second] - origins
     keep = np.linalg.norm(chords, axis=1) > 0.0
     origins, chords = origins[keep], chords[keep]
-
-    def slopes(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        return np.einsum("bi,bi->b", directions, solver.relative_gradient(points)[0])
+    top, q, vertex = _restrict_to_chords(solver, origins, chords)
 
     ts = np.linspace(0.0, 1.0, 33)[1:-1]        # slots 7, 15, 23 are t = 1/4, 1/2, 3/4
-    grid = origins[:, None, :] + ts[None, :, None] * chords[:, None, :]
-    vals = slopes(
-        grid.reshape(-1, d), np.repeat(chords, len(ts), axis=0)
-    ).reshape(len(origins), len(ts))
-
-    seeds = [grid[:, [7, 15, 23]].reshape(-1, d), grid[vals == 0.0]]
+    vals = _chord_slopes(top, q, vertex, ts)
+    chord, slot = np.nonzero(vals == 0.0)
+    seeds = [
+        (origins[:, None, :] + ts[[7, 15, 23], None] * chords[:, None, :]).reshape(-1, reps.shape[1]),
+        origins[chord] + ts[slot, None] * chords[chord],
+    ]
     pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
     if len(pair_idx):
         t_lo, width = ts[slot], ts[slot + 1] - ts[slot]
         f_lo = vals[pair_idx, slot]
-        a, direction = origins[pair_idx], chords[pair_idx]
+        top, q, vertex = top[pair_idx], q[pair_idx], vertex[pair_idx]
         rows = np.arange(len(pair_idx))
         per_round, left = _halvings_per_round(len(pair_idx)), 40
         while left:
             m = min(per_round, left)
             # the 2^m - 1 dyadic points that the next m halvings can visit
             ts_round = t_lo[:, None] + np.ldexp(np.arange(1, 2 ** m), -m)[None, :] * width[:, None]
-            f_round = slopes(
-                (a[:, None, :] + ts_round[..., None] * direction[:, None, :]).reshape(-1, d),
-                np.repeat(direction, 2 ** m - 1, axis=0),
-            ).reshape(len(pair_idx), 2 ** m - 1)
+            f_round = _chord_slopes(top, q, vertex, ts_round)
             lo = np.zeros(len(pair_idx), dtype=int)     # bracket [lo, lo + span] in units of 2^-m
             for span in 2 ** np.arange(m - 1, -1, -1):
                 f_mid = f_round[rows, lo + span - 1]
@@ -493,17 +498,54 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
             t_lo = t_lo + np.ldexp(lo.astype(float), -m) * width
             width = np.ldexp(width, -m)
             left -= m
-        seeds.append(a + (t_lo + 0.5 * width)[:, None] * direction)
+        seeds.append(origins[pair_idx] + (t_lo + 0.5 * width)[:, None] * chords[pair_idx])
     return np.concatenate(seeds)
+
+
+def _restrict_to_chords(
+    solver: _LogSolver, origins: np.ndarray, chords: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each component term along each line origins + t chords, as (n, k) arrays (top, q, vertex).
+
+    On the line x(t) = a + t c, L_i(x(t)) = top_i - q_i (t - t_i)^2 / 2
+    exactly, with q_i = c'A_i c (positive for c != 0), vertex
+    t_i = -(a - mu_i)'A_i c / q_i and top_i = L_i(a + t_i c).  top_i is
+    evaluated at the vertex point itself rather than expanded from the
+    coefficients at a, which cancel to within rounding of |L_i(a)| when a
+    component lies far from the line.
+    """
+    atimes_c = np.einsum("kij,nj->nki", solver.precisions, chords)
+    q = np.einsum("nki,ni->nk", atimes_c, chords)
+    vertex = -np.einsum("nki,nki->nk", atimes_c, origins[:, None, :] - solver.means[None]) / q
+    diff = origins[:, None, :] + vertex[..., None] * chords[:, None, :] - solver.means[None]
+    top = solver.log_wn - 0.5 * np.einsum("nki,kij,nkj->nk", diff, solver.precisions, diff)
+    return top, q, vertex
+
+
+def _chord_slopes(top: np.ndarray, q: np.ndarray, vertex: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d/dt log f(x(t)) on the n lines restricted by `_restrict_to_chords`, as (n, T).
+
+    t holds T parameters per line as (n, T), or T shared by every line as (T,).
+
+    The slope of the 1-d mixture of the terms top_i - q_i (t - t_i)^2 / 2:
+    -sum_i w_i q_i (t - t_i) with responsibilities w = softmax of the terms.
+    """
+    offsets = t[..., None] - vertex[:, None, :]
+    slopes = q[:, None, :] * offsets              # minus each term's own slope
+    terms = top[:, None, :] - 0.5 * slopes * offsets
+    w = np.exp(terms - logsumexp(terms, axis=2, keepdims=True))
+    return -np.einsum("ntk,ntk->nt", w, slopes)
 
 
 def _halvings_per_round(n_brackets: int) -> int:
     """Bisection halvings per slope call in `_chord_starts`, from 1 to 5.
 
-    A round of m halvings evaluates 2^m - 1 points per bracket; m is the
-    largest that keeps a call at 256 rows or fewer.  Few brackets (a 1-d
-    solve has one or two) take 5 halvings per call; thousands of brackets
-    take one, where more would evaluate points the bisection never uses.
+    A round of m halvings evaluates 2^m - 1 points per bracket, each an O(k)
+    slope of the restricted 1-d mixture; m is the largest that keeps a call
+    at 256 rows or fewer.  Few brackets (a 1-d solve has one or two) take 5
+    halvings per call, so the per-call cost is paid 8 times instead of 40;
+    thousands of brackets take one, where more would evaluate points the
+    bisection never uses.
     """
     m = 1
     while m < 5 and n_brackets * (2 ** (m + 1) - 1) <= 256:

@@ -23,6 +23,7 @@ from modecount import (
     pad_remote,
     product,
     radial_critical_roots,
+    ray_ren_family,
     realize_recipe,
     seed_closure_bound,
     simplex_family,
@@ -328,6 +329,38 @@ def test_realize_shortfall_raises_with_counts():
         realize_recipe(recipe, epsilon=0.15)
     assert err.value.claimed == 4
     assert err.value.achieved == 1
+
+
+def ball_certifies_mode_pointwise(mixture, center, radius, directions):
+    """Reference ball test: one `Mixture.log_density` call per point."""
+    center_log = mixture.log_density(center)
+    return all(mixture.log_density(center + radius * direction) < center_log for direction in directions)
+
+
+def test_batched_ball_test_matches_pointwise(monkeypatch):
+    # every ball that pad_remote tests while realizing a padded witness gets
+    # the verdict of the one-point-at-a-time test, so the padding lands on
+    # the same means
+    batched = construct._ball_certifies_mode
+    for family, d, k in ((ray_ren_family, 1, 6), (simplex_family, 2, 6)):
+        _, recipe = seed_closure_bound(d, k, family)
+        assert recipe.pad > 0
+        verdicts = []
+
+        def spy(solver, center, radius, directions):
+            verdict = batched(solver, center, radius, directions)
+            verdicts.append((verdict, ball_certifies_mode_pointwise(solver.mixture, center, radius, directions)))
+            return verdict
+
+        monkeypatch.setattr(construct, "_ball_certifies_mode", spy)
+        witness, _ = realize_recipe(recipe)
+        monkeypatch.setattr(construct, "_ball_certifies_mode",
+                            lambda solver, *ball: ball_certifies_mode_pointwise(solver.mixture, *ball))
+        reference, _ = realize_recipe(recipe)
+        assert len(verdicts) >= recipe.pad
+        assert all(got == want for got, want in verdicts)
+        assert np.array_equal(witness.means, reference.means)
+        assert np.array_equal(witness.weights, reference.weights)
 
 
 def test_realize_padded_d1k6_finds_both_antimodes():

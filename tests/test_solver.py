@@ -27,8 +27,10 @@ from modecount import (
 
 from modecount import solver as solver_module
 from modecount.construct import REALIZE_EPSILON, radial_critical_roots, simplex_seed, tilt_polish
-from modecount.mixture import affine_rank, logsumexp, reduce_homoscedastic
-from modecount.solver import _chord_starts, _cluster, _dedup_points, _halvings_per_round, _LogSolver
+from modecount.mixture import affine_rank, reduce_homoscedastic
+from modecount.solver import (
+    _chord_slopes, _chord_starts, _cluster, _dedup_points, _halvings_per_round, _LogSolver, _restrict_to_chords,
+)
 
 from conftest import random_mixture_1d, random_spd
 from test_acceptance import SWEEP_SEED
@@ -530,14 +532,16 @@ def chord_starts_one_halving_at_a_time(solver, reps, n_old=0):
     keep = np.linalg.norm(chords, axis=1) > 0.0
     origins, chords = origins[keep], chords[keep]
 
-    def slopes(points, directions):
-        terms, atimes = solver.component_terms(points)
-        w = np.exp(terms - logsumexp(terms, axis=1, keepdims=True))
-        return np.einsum("bi,bi->b", directions, -np.einsum("bk,bki->bi", w, atimes))
+    def slopes(lines, directions, t):
+        # the slope of the restricted 1-d mixture on each line, at one t per line
+        restricted = _restrict_to_chords(solver, lines, directions)
+        return _chord_slopes(*restricted, t[:, None])[:, 0]
 
     ts = np.linspace(0.0, 1.0, 33)[1:-1]
     grid = origins[:, None, :] + ts[None, :, None] * chords[:, None, :]
-    vals = slopes(grid.reshape(-1, d), np.repeat(chords, len(ts), axis=0)).reshape(len(origins), len(ts))
+    vals = slopes(
+        np.repeat(origins, len(ts), axis=0), np.repeat(chords, len(ts), axis=0), np.tile(ts, len(origins)),
+    ).reshape(len(origins), len(ts))
     seeds = [grid[:, [7, 15, 23]].reshape(-1, d), grid[vals == 0.0]]
     pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
     if len(pair_idx):
@@ -546,7 +550,7 @@ def chord_starts_one_halving_at_a_time(solver, reps, n_old=0):
         a, direction = origins[pair_idx], chords[pair_idx]
         for _ in range(40):
             t_mid = 0.5 * (t_lo + t_hi)
-            f_mid = slopes(a + t_mid[:, None] * direction, direction)
+            f_mid = slopes(a, direction, t_mid)
             same = (f_mid > 0.0) == (f_lo > 0.0)
             t_lo = np.where(same, t_mid, t_lo)
             f_lo = np.where(same, f_mid, f_lo)
@@ -617,6 +621,50 @@ def test_restart_rounds_seed_only_chords_to_new_roots(monkeypatch):
         assert not set(map(tuple, seeds)) & set(map(tuple, old_seeds))
         want, _ = chord_starts_one_halving_at_a_time(solver, reps, len(old_reps))
         assert np.array_equal(seeds, want)
+
+
+def test_chord_restriction_matches_relative_gradient(simplex_d5k6):
+    # restricted to a chord, each component term is top - q (t - vertex)^2 / 2
+    # and the slope is the directional derivative of log f along the chord:
+    # on random heteroscedastic mixtures, on the padded d1k6 witness (a remote
+    # component) and on the chords between the 43 points of the simplex d5k6
+    # witness.  Origins and chords lie on a 2^-20 lattice and t on a 2^-6
+    # one, so every point a + t c is exact and the d-dimensional reference
+    # sees only the rounding of its terms, of order eps |L_k|.  A top taken
+    # from the terms at the origin instead of at the vertex loses about
+    # eps |L_k(a)| to cancellation, 2.6e-12 (1 + |L_k|) on d1k6.
+    rng = np.random.default_rng(53)
+    cases = []
+    for d in range(2, 7):
+        for k in range(2, 7):
+            m = random_mixture(rng, d, k)
+            cases.append((m, np.vstack([m.means, rng.uniform(-4.0, 4.0, size=(3, d))])))
+    d1k6 = padded_d1k6_mixture()
+    cases.append((d1k6, np.array([p.location for p in find_critical_points(d1k6).points])))
+    d5k6, report = simplex_d5k6
+    cases.append((d5k6, np.array([p.location for p in report.points])))
+    ts = np.arange(-16, 81) / 64.0
+    for m, reps in cases:
+        solver = _LogSolver(m)
+        first, second = np.triu_indices(len(reps), 1)
+        origins = np.ldexp(np.round(np.ldexp(reps[first], 20)), -20)
+        chords = np.ldexp(np.round(np.ldexp(reps[second] - reps[first], 20)), -20)
+        top, q, vertex = _restrict_to_chords(solver, origins, chords)
+        assert np.all(q > 0.0)
+        offsets = ts[None, :, None] - vertex[:, None, :]
+        points = (origins[:, None, :] + ts[None, :, None] * chords[:, None, :]).reshape(-1, m.dim)
+        terms = solver.component_terms(points)[0].reshape(offsets.shape)
+        restricted = top[:, None, :] - 0.5 * q[:, None, :] * offsets ** 2
+        assert np.all(np.abs(restricted - terms) <= 1e-13 * (1.0 + np.abs(terms)))
+
+        slopes = _chord_slopes(top, q, vertex, ts)
+        grad, _, w, _ = solver.relative_gradient(points)
+        want = np.einsum("bi,bi->b", np.repeat(chords, len(ts), axis=0), grad).reshape(slopes.shape)
+        spread = w.reshape(offsets.shape) * np.abs(q[:, None, :] * offsets) * (1.0 + np.abs(terms))
+        bound = 1e-12 * (1.0 + spread.sum(axis=2))
+        assert np.all(np.abs(slopes - want) <= bound)
+        sure = np.abs(want) > bound
+        assert np.array_equal(np.sign(slopes[sure]), np.sign(want[sure]))
 
 
 def test_reduced_reference_is_stable_at_ties(simplex_d5k6):
