@@ -220,12 +220,16 @@ class _LogSolver:
     the start, a root's residual can sit far above its tolerance one step
     from the root.
 
+    A Newton step costs one d x d solve (see `residual_and_step_batch`), and
+    when every component has the same precision A, bit for bit, X(u) needs
+    none: M_w = A, so X = sum_j w_j mu_j.
+
     Every reduction runs along one row (einsum rather than BLAS matmul, whose
     rounding depends on the batch shape), so a row's residual and Newton
-    matrix, its `relative_derivatives`, and hence its Newton path in `iterate`
+    step, its `relative_derivatives`, and hence its Newton path in `iterate`
     and in `polish`, do not depend on which other rows share its batch.
-    `_damped_newton` relies on that when it carries a row's matrix from the
-    batch of one step into the next.
+    `_damped_newton` relies on that when it carries a row's step from the
+    batch of one evaluation into the next step.
     """
 
     def __init__(self, mixture: Mixture):
@@ -234,6 +238,9 @@ class _LogSolver:
         self.precisions = mixture.precisions
         self.pmeans = np.einsum("kij,kj->ki", self.precisions, self.means)
         self.log_wn = mixture.log_weights + mixture.log_norms
+        # taken from the input itself, not from a tolerance: the shortcut in
+        # `x_batch` is exact in real arithmetic only for equal precisions
+        self.shared_precision = bool(np.all(self.precisions == self.precisions[0]))
 
     @cached_property
     def curvature_scale(self) -> float:
@@ -259,8 +266,11 @@ class _LogSolver:
         return _centre(terms, charts), charts
 
     def x_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, w, M_w) for a (B, k) batch of log-ratio vectors."""
+        """(X, w, M_w) for a (B, k) batch of log-ratio vectors; no solve when the precisions are shared."""
         w = np.exp(u - logsumexp(u, axis=1, keepdims=True))
+        if self.shared_precision:
+            m_mat = np.broadcast_to(self.precisions[0], (len(u),) + self.precisions.shape[1:])
+            return np.einsum("bk,ki->bi", w, self.means), w, m_mat
         m_mat = np.einsum("bk,kij->bij", w, self.precisions)
         nu = np.einsum("bk,ki->bi", w, self.pmeans)
         x = np.linalg.solve(m_mat, nu[..., None])[..., 0]
@@ -271,8 +281,29 @@ class _LogSolver:
         terms, _ = self.component_terms(x)
         return _centre(u - terms, charts)
 
+    def residual_and_step_batch(self, u: np.ndarray, charts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """S and its Newton step -(S + (a - a_c) z), where K_w z = sum_j w_j S_j a_j.
+
+        With a_j = A_j (X - mu_j), the k x k Newton matrix of
+        `residual_and_jacobian_batch` is I - U V' with rows U_i = a_i - a_c
+        and V_j = w_j M_w^{-1} a_j.  Since sum_j w_j a_j = M_w X - nu_w = 0,
+        M_w (I - V'U) = M_w - sum_j w_j a_j a_j' = K_w, which at a root is
+        -Hess log f, and the Woodbury identity inverts the k x k matrix with
+        one d x d solve.  Row c of U is 0, so step_c stays 0.
+        """
+        x, w, m_mat = self.x_batch(u)
+        terms, atimes = self.component_terms(x)
+        s = _centre(u - terms, charts)
+        k_mat = m_mat - np.einsum("bk,bki,bkj->bij", w, atimes, atimes)
+        z = _solve_rows(k_mat, np.einsum("bk,bki->bi", w * s, atimes))
+        return s, -(s + np.einsum("bki,bi->bk", _centre(atimes, charts), z))
+
     def residual_and_jacobian_batch(self, u: np.ndarray, charts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """S and its k x k Newton matrix, whose row c is e_c, so that step_c = 0."""
+        """S and its k x k Newton matrix, whose row c is e_c, so that step_c = 0.
+
+        Only `reduced_jacobian` uses the matrix; the Newton loop takes its
+        step from `residual_and_step_batch`.
+        """
         x, w, m_mat = self.x_batch(u)
         terms, atimes = self.component_terms(x)
         s = _centre(u - terms, charts)
@@ -299,7 +330,7 @@ class _LogSolver:
         """`_damped_newton` on every row of log-ratios u0 in its chart; returns (rows, converged mask)."""
         return _damped_newton(
             u0,
-            lambda u, rows: self.residual_and_jacobian_batch(u, charts[rows]),
+            lambda u, rows: self.residual_and_step_batch(u, charts[rows]),
             lambda u, rows: self.residual_batch(u, charts[rows]),
             self._row_tols, NEWTON_MAX_ITER, MAX_HALVINGS,
         )
@@ -320,13 +351,14 @@ class _LogSolver:
     def polish(self, x: np.ndarray) -> np.ndarray:
         """Sharpen approximate critical points, (B, d) rows, in the original coordinates.
 
-        `_damped_newton` on the relative gradient g, with the log-density
-        Hessian H - gg' as Newton matrix, converges quadratically from any
-        nearby nondegenerate critical point, whatever its index.
+        `_damped_newton` on the relative gradient g, stepping by the solution
+        of (H - gg') step = -g, where H - gg' is the log-density Hessian,
+        converges quadratically from any nearby nondegenerate critical point,
+        whatever its index.
         """
         def newton(points: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _, grad, hess = self.relative_derivatives(points)
-            return grad, hess - np.einsum("bi,bj->bij", grad, grad)
+            return grad, _solve_rows(hess - np.einsum("bi,bj->bij", grad, grad), -grad)
 
         return _damped_newton(x, newton, lambda points, rows: self.relative_gradient(points)[0],
                               lambda points: _POLISH_GRAD_TOL, _POLISH_STEPS, _POLISH_RUNGS)[0]
@@ -353,21 +385,21 @@ _POLISH_GRAD_TOL, _POLISH_STEPS, _POLISH_RUNGS = 1e-15, 8, 20
 def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int):
     """Damped Newton on each row of the (n, m) batch u0; returns the final rows and the converged mask.
 
-    `evaluate(u, rows)` gives the residual and m x m Newton matrix of batch
-    rows `rows` at points u, and `residual(u, rows)` the residual alone.  A
-    row stops at a residual norm of at most `tolerance(u)`, after `max_iter`
-    steps, or when no step of its line search (`rungs` rungs) lowers it.
+    `evaluate(u, rows)` gives the residual and Newton step of batch rows
+    `rows` at points u (a NaN step where the Newton matrix is singular), and
+    `residual(u, rows)` the residual alone.  A row stops at a residual norm
+    of at most `tolerance(u)`, after `max_iter` steps, or when no step of its
+    line search (`rungs` rungs) lowers it.
     """
     u = np.array(u0, dtype=float)
     n, m = u.shape
-    s = np.full((n, m), np.nan)
-    jac = np.full((n, m, m), np.nan)
-    stale = np.zeros(n, dtype=bool)       # rows whose s and jac are not taken at u
+    steps = np.full((n, m), np.nan)
+    stale = np.zeros(n, dtype=bool)       # rows whose step is not taken at u
     norms = np.full(n, np.inf)
     finite = np.flatnonzero(np.all(np.isfinite(u), axis=1))
     if len(finite):
-        s[finite], jac[finite] = evaluate(u[finite], finite)
-        norms[finite] = np.linalg.norm(s[finite], axis=1)
+        s, steps[finite] = evaluate(u[finite], finite)
+        norms[finite] = np.linalg.norm(s, axis=1)
     active = np.isfinite(norms) & (norms > tolerance(u))
 
     for _ in range(max_iter):
@@ -375,41 +407,31 @@ def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int)
             break
         renew = np.flatnonzero(active & stale)
         if len(renew):
-            s[renew], jac[renew] = evaluate(u[renew], renew)
+            _, steps[renew] = evaluate(u[renew], renew)
             stale[renew] = False
         idx = np.flatnonzero(active)
-        steps = np.full((len(idx), m), np.nan)
-        try:
-            steps = np.linalg.solve(jac[idx], -s[idx][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for row, i in enumerate(idx):
-                try:
-                    steps[row] = np.linalg.solve(jac[i], -s[i])
-                except np.linalg.LinAlgError:
-                    pass
-        good = np.all(np.isfinite(steps), axis=1)
+        good = np.all(np.isfinite(steps[idx]), axis=1)
         active[idx[~good]] = False
 
         pending = idx[good]
-        steps = steps[good]
+        step = steps[pending]
         # Halving ladder: rung j tries the step scaled by 2^-j, and a row
         # takes its first improving rung.  Rung 0, the full step, is
-        # evaluated with its Newton matrix, so a row that takes it starts its
-        # next step without another call.  The rows it does not improve try
-        # rungs 1 ... rungs - 1 in one stacked residual call, which accepts
-        # exactly what trying them one at a time would.
+        # evaluated with its own Newton step, so a row that takes it starts
+        # its next step without another call.  The rows it does not improve
+        # try rungs 1 ... rungs - 1 in one stacked residual call, which
+        # accepts exactly what trying them one at a time would.
         if rungs >= 1 and len(pending):
-            cand = u[pending] + steps
-            cand_s, cand_jac = evaluate(cand, pending)
+            cand = u[pending] + step
+            cand_s, cand_steps = evaluate(cand, pending)
             cand_norms = np.linalg.norm(cand_s, axis=1)
             better = np.isfinite(cand_norms) & (cand_norms < norms[pending])
             took = pending[better]
-            u[took], norms[took] = cand[better], cand_norms[better]
-            s[took], jac[took] = cand_s[better], cand_jac[better]
-            pending, steps = pending[~better], steps[~better]
+            u[took], norms[took], steps[took] = cand[better], cand_norms[better], cand_steps[better]
+            pending, step = pending[~better], step[~better]
         if rungs >= 2 and len(pending):
             scales = np.ldexp(1.0, -np.arange(1, rungs))
-            cand = u[pending][:, None, :] + scales[None, :, None] * steps[:, None, :]
+            cand = u[pending][:, None, :] + scales[None, :, None] * step[:, None, :]
             cand_norms = np.linalg.norm(
                 residual(cand.reshape(-1, m), np.repeat(pending, len(scales))), axis=1,
             ).reshape(len(pending), len(scales))
@@ -430,6 +452,25 @@ def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int)
 def _centre(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
     """Subtract from each row of a batch its entry in that row's chart."""
     return values - values[np.arange(len(values)), charts][:, None]
+
+
+def _solve_rows(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each (m, m) matrix of a batch against its (m,) row of rhs; an exactly singular row gets NaN.
+
+    When the batched solve meets a singular matrix, one batched slogdet
+    picks the matrices with a zero pivot (the LU factorization that the
+    solve runs) and rows with a non-finite determinant or right-hand side,
+    and the others are solved in one more call.
+    """
+    try:
+        return np.linalg.solve(mat, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        with np.errstate(invalid="ignore"):
+            sign, log_det = np.linalg.slogdet(mat)
+        regular = (sign != 0.0) & np.isfinite(log_det) & np.all(np.isfinite(rhs), axis=-1)
+        out = np.full(rhs.shape, np.nan)
+        out[regular] = np.linalg.solve(mat[regular], rhs[regular][..., None])[..., 0]
+        return out
 
 
 def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarray:

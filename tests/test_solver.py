@@ -192,8 +192,7 @@ def solve_batch_one_rung_at_a_time(solver, u0, charts, rungs=solver_module.MAX_H
         if not np.any(active):
             break
         idx = np.flatnonzero(active)
-        s, jac = solver.residual_and_jacobian_batch(u[idx], charts[idx])
-        steps = np.linalg.solve(jac, -s[..., None])[..., 0]
+        _, steps = solver.residual_and_step_batch(u[idx], charts[idx])
         good = np.all(np.isfinite(steps), axis=1)
         active[idx[~good]] = False
         pending, steps = idx[good], steps[good]
@@ -227,15 +226,24 @@ def test_residual_rows_do_not_depend_on_batch():
     stacked = solver.residual_batch(u, charts)
     for i in range(len(u)):
         assert np.array_equal(stacked[i], solver.residual_batch(u[i:i + 1], charts[i:i + 1])[0]), i
-    # `iterate` carries a row's Newton matrix from the batch of its full step
-    # into its next step, so every row of the matrix must match too
+    # `iterate` carries a row's Newton step from the batch of its full step
+    # into its next step, so every row of the step must match too, with
+    # distinct precisions and with one shared precision (X without a solve)
+    shared = _LogSolver(random_mixture(np.random.default_rng(50), 6, 5, homoscedastic=True))
+    assert not solver.shared_precision and shared.shared_precision
+    rows = np.arange(len(u))
+    for each in (solver, shared):
+        s, step = each.residual_and_step_batch(u, charts)
+        for i in range(len(u)):
+            s_i, step_i = each.residual_and_step_batch(u[i:i + 1], charts[i:i + 1])
+            assert np.array_equal(s[i], s_i[0]) and np.array_equal(step[i], step_i[0]), i
+        # the chart's own residual and step entries are exact
+        assert np.all(s[rows, charts] == 0.0) and np.all(step[rows, charts] == 0.0)
+    # and so does every row of the k x k Newton matrix behind `reduced_jacobian`
     s, jac = solver.residual_and_jacobian_batch(u, charts)
     for i in range(len(u)):
         s_i, jac_i = solver.residual_and_jacobian_batch(u[i:i + 1], charts[i:i + 1])
         assert np.array_equal(s[i], s_i[0]) and np.array_equal(jac[i], jac_i[0]), i
-    # the chart's own residual entry and Newton-matrix row are exact
-    rows = np.arange(len(u))
-    assert np.all(s[rows, charts] == 0.0)
     assert np.array_equal(jac[rows, charts], np.eye(5)[charts])
     # polish and classification run on the density-relative derivatives in x
     m = solver.mixture
@@ -253,6 +261,118 @@ def test_residual_rows_do_not_depend_on_batch():
     assert np.linalg.norm(solver.relative_gradient(polished[:len(roots)])[0], axis=1).max() <= 1e-12
     for i in range(len(starts)):
         assert np.array_equal(polished[i], solver.polish(starts[i:i + 1])[0]), i
+
+
+def test_solve_rows_gives_nan_only_to_singular_rows(monkeypatch):
+    # one exactly singular matrix in the batch: one batched slogdet picks it
+    # out and the other rows are solved in one more call, with the bits each
+    # gets alone
+    rng = np.random.default_rng(46)
+    mat = rng.standard_normal((50, 3, 3))
+    mat[17] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]]     # an exact zero pivot
+    rhs = rng.standard_normal((50, 3))
+    calls = []
+    inner = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(len(a)) or inner(a, b))
+    got = solver_module._solve_rows(mat, rhs)
+    assert len(calls) <= 2
+    assert np.flatnonzero(~np.isfinite(got).all(axis=1)).tolist() == [17] and np.isnan(got[17]).all()
+    for i in set(range(50)) - {17}:
+        assert np.array_equal(got[i], inner(mat[i], rhs[i])), i
+    calls.clear()
+    assert np.array_equal(solver_module._solve_rows(mat[:17], rhs[:17]), got[:17]) and calls == [17]
+    # rows with a NaN or infinite entry come back NaN, without a warning
+    mat[3, 0, 0], mat[4, 1], rhs[5, 0] = np.nan, [np.inf, -np.inf, 0.0], np.inf
+    got = solver_module._solve_rows(mat, rhs)
+    assert np.flatnonzero(~np.isfinite(got).all(axis=1)).tolist() == [3, 4, 5, 17]
+    # at the fold of the pair at +-1 with unit variance K_w is exactly 0, so
+    # that row's Newton step is NaN and no other row's changes
+    solver = _LogSolver(pair_mixture_1d(1.0))
+    u = np.concatenate([[[0.0, 0.0]], rng.uniform(-3.0, 0.0, size=(20, 2))])
+    u[1:, 1] = 0.0
+    charts = np.ones(len(u), dtype=int)
+    s, step = solver.residual_and_step_batch(u, charts)
+    assert np.isnan(step[0, 0]) and np.isfinite(step[1:]).all()
+    for i in range(1, len(u)):
+        assert np.array_equal(step[i], solver.residual_and_step_batch(u[i:i + 1], charts[i:i + 1])[1][0]), i
+
+
+def test_step_matches_newton_matrix_solve(simplex_d5k6):
+    # the one d x d solve of `residual_and_step_batch` against np.linalg.solve
+    # on the k x k Newton matrix of `residual_and_jacobian_batch`, on rows in
+    # their dominant chart, where the Newton loop runs them: random mixtures
+    # with d, k in 1..6, the padded d1k6 witness (components up to 470
+    # standard deviations apart) and points near the simplex d5k6 roots.
+    # Both are solves of the same rounded system, so they differ in the
+    # rounding of the solve, which the condition number of the Newton matrix
+    # amplifies: the worst row of these cases differs by 1.7 eps cond(J)
+    # relative, so 16 eps cond(J) leaves a tenfold margin.
+    rng = np.random.default_rng(48)
+    cases = []
+    for d in range(1, 7):
+        for k in range(1, 7):
+            m = random_mixture(rng, d, k, homoscedastic=bool((d + k) % 2))
+            x = rng.uniform(m.means.min(axis=0) - 2.0, m.means.max(axis=0) + 2.0, size=(60, d))
+            cases.append((m, x, random_starts(rng, k, 20.0, 60)))
+    d1k6 = padded_d1k6_mixture()
+    roots = np.array([p.location for p in find_critical_points(d1k6).points])
+    cases.append((d1k6, np.concatenate([roots + 10.0 ** -e * rng.standard_normal(roots.shape) for e in (3, 6, 9)]),
+                  None))
+    d5k6, report = simplex_d5k6
+    roots = np.array([p.location for p in report.points])
+    cases.append((d5k6, np.concatenate([roots + 10.0 ** -e * rng.standard_normal(roots.shape) for e in (2, 4, 8)]),
+                  None))
+    eps = np.finfo(float).eps
+    for m, x, more in cases:
+        solver = _LogSolver(m)
+        u, charts = solver.chart_coords(x)
+        if more is not None:
+            u, charts = np.concatenate([u, more[0]]), np.concatenate([charts, more[1]])
+        s, step = solver.residual_and_step_batch(u, charts)
+        s_ref, jac = solver.residual_and_jacobian_batch(u, charts)
+        assert np.array_equal(s, s_ref)
+        want = np.linalg.solve(jac, -s[..., None])[..., 0]
+        gap = np.linalg.norm(step - want, axis=1)
+        assert np.all(gap <= 16.0 * eps * np.linalg.cond(jac) * np.linalg.norm(want, axis=1))
+
+
+def test_shared_precision_path_matches_generic_solve(monkeypatch):
+    # with bitwise-equal precisions X(w) = sum_j w_j mu_j and M_w = A, taken
+    # without a solve, agree with M_w^{-1} nu_w to rounding
+    rng = np.random.default_rng(49)
+    pairs = product(pair_mixture_1d(), pair_mixture_1d())
+    calls = []
+    inner = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(len(a)) or inner(a, b))
+    for m in (pairs, lift(pairs, 3), padded_d1k6_mixture()):
+        shared, generic = _LogSolver(m), _LogSolver(m)
+        assert shared.shared_precision
+        generic.shared_precision = False
+        roots = np.array([p.location for p in find_critical_points(m).points])
+        x = np.concatenate([roots, m.means, rng.uniform(m.means.min(axis=0) - 3.0, m.means.max(axis=0) + 3.0,
+                                                         size=(200, m.dim))])
+        u = np.concatenate([shared.chart_coords(x)[0], rng.uniform(-40.0, 40.0, size=(200, m.n_components))])
+        calls.clear()
+        got, w, m_mat = shared.x_batch(u)
+        assert calls == []
+        want, w_ref, m_ref = generic.x_batch(u)
+        assert calls == [len(u)]
+        assert np.array_equal(w, w_ref)
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-14 * np.linalg.norm(want, axis=1))
+        assert np.all(np.abs(m_mat - m_ref) <= 1e-14 * np.abs(m_ref).max())
+    # one covariance entry one ulp off: the precisions differ, so the solver
+    # takes the generic path
+    cov = random_spd(rng, 3)
+    nudged = cov.copy()
+    nudged[1, 1] = np.nextafter(cov[1, 1], np.inf)
+    m = Mixture.from_arrays([0.3, 0.3, 0.4], rng.standard_normal((3, 3)), [cov, nudged, cov])
+    assert not np.array_equal(m.precisions[0], m.precisions[1])
+    solver = _LogSolver(m)
+    assert not solver.shared_precision
+    calls.clear()
+    solver.x_batch(rng.standard_normal((5, 3)))
+    assert calls == [5]
+    assert _LogSolver(Mixture.from_arrays([0.3, 0.3, 0.4], m.means, [cov, cov, cov])).shared_precision
 
 
 def polish_one_point(mixture, x):
@@ -354,7 +474,7 @@ def test_blocked_ladder_matches_one_rung_at_a_time(monkeypatch):
 def counting_residual_calls(solver):
     """Wrap the solver's two residual evaluations; returns {name: [calls, rows]}."""
     counts = {}
-    for name in ("residual_batch", "residual_and_jacobian_batch"):
+    for name in ("residual_batch", "residual_and_step_batch"):
         inner = getattr(solver, name)
         counts[name] = [0, 0]
 
@@ -390,8 +510,8 @@ def test_stalled_rows_give_up_after_one_ladder(monkeypatch):
 
 def test_full_steps_reuse_their_newton_matrix():
     # rows started next to roots accept every full Newton step, and a full
-    # step is evaluated with its Newton matrix: one residual_and_jacobian
-    # call per iteration plus the initial one, and no residual_batch call
+    # step is evaluated with its own Newton step: one residual_and_step call
+    # per iteration plus the initial one, and no residual_batch call
     for m in (het_d6k5_solver().mixture, product(pair_mixture_1d(), pair_mixture_1d())):
         roots = np.array([p.location for p in find_critical_points(m).points])
         rng = np.random.default_rng(45)
@@ -401,14 +521,14 @@ def test_full_steps_reuse_their_newton_matrix():
             u0, charts = reference.chart_coords(x0)
             ref_counts = counting_residual_calls(reference)
             ref_u, ref_converged = solve_batch_one_rung_at_a_time(reference, u0, charts)
-            iterations = ref_counts["residual_and_jacobian_batch"][0]
+            iterations = ref_counts["residual_and_step_batch"][0]
             # the reference tries one rung per iteration: every full step is taken
             assert ref_counts["residual_batch"][0] == iterations + 1
             assert ref_converged.all()
             solver = _LogSolver(m)
             counts = counting_residual_calls(solver)
             u, converged = solver.iterate(u0, charts)
-            assert counts["residual_and_jacobian_batch"][0] == iterations + 1
+            assert counts["residual_and_step_batch"][0] == iterations + 1
             assert counts["residual_batch"][0] == 0
             assert np.array_equal(u, ref_u) and np.array_equal(converged, ref_converged)
         assert iterations >= 2
@@ -425,20 +545,27 @@ def padded_d1k6_mixture():
 
 def test_antimode_starts_converge_in_their_dominant_chart():
     # the padded witness seed_closure_bound(1, 6, simplex_family) realizes:
-    # in the chart of the largest weight (component 5, at 473.4) a start
-    # 1e-8 from either antimode has |S| of order 0.01-0.1 against a row
-    # tolerance near 1e-7, no rung of the ladder improves it, and it is
-    # dropped; in the chart of the start's dominant component it converges
+    # in the chart of the start's dominant component a start 1e-8 from either
+    # antimode converges.  In the chart of the largest weight (component 5,
+    # at 473.4) its |S| is of order 0.01-0.1 against a row tolerance near
+    # 1e-7: from the antimode at 54.4 no rung of the ladder improves it and
+    # it is dropped; from the one at -124.7 the step of one d x d solve
+    # reaches the root, where the step of the k x k solve did not
     solver = _LogSolver(padded_d1k6_mixture())
-    for root in (-124.68419998655692, 54.36768907309745):
+    for root, in_chart_5_converges in ((-124.68419998655692, True), (54.36768907309745, False)):
         x0 = np.array([[root + 1e-8]])
         roots, count = solver.solve_batch(x0)
         assert count == 1
         assert abs(roots[0, 0] - root) <= 1e-12 * abs(root)
         terms, _ = solver.component_terms(x0)
         in_chart_5 = terms - terms[:, 5:]
-        _, converged = solver.iterate(in_chart_5, np.array([5]))
-        assert not converged[0]
+        u, converged = solver.iterate(in_chart_5, np.array([5]))
+        assert converged[0] == in_chart_5_converges
+        if in_chart_5_converges:
+            # to the row tolerance 1e-12 (1 + max |u|) near 1.7e-7 of this
+            # chart: 1.3e-10 from the antimode, the next critical point is
+            # tens of units away
+            assert abs(solver.x_batch(u)[0][0, 0] - root) <= 1e-11 * abs(root)
 
 
 def test_halving_cap_keeps_critical_set(monkeypatch):
