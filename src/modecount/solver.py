@@ -224,12 +224,15 @@ class _LogSolver:
     when every component has the same precision A, bit for bit, X(u) needs
     none: M_w = A, so X = sum_j w_j mu_j.
 
-    Every reduction runs along one row (einsum rather than BLAS matmul, whose
-    rounding depends on the batch shape), so a row's residual and Newton
-    step, its `relative_derivatives`, and hence its Newton path in `iterate`
-    and in `polish`, do not depend on which other rows share its batch.
-    `_damped_newton` relies on that when it carries a row's step from the
-    batch of one evaluation into the next step.
+    The batch is an outer dimension of every einsum/matmul; no 2-D BLAS
+    call spans rows.  A stacked `np.matmul` makes one small BLAS call per
+    row, with the same shape and strides whatever the batch, whereas folding
+    the rows into the M dimension of one 2-D matmul would round a row
+    differently with the number of rows beside it.  So a row's residual and
+    Newton step, its `relative_derivatives`, and hence its Newton path in
+    `iterate` and in `polish`, do not depend on which other rows share its
+    batch.  `_damped_newton` relies on that when it carries a row's step
+    from the batch of one evaluation into the next step.
     """
 
     def __init__(self, mixture: Mixture):
@@ -251,7 +254,7 @@ class _LogSolver:
     def component_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """L(x) as a (B, k) batch, and A_i (x - mu_i) as (B, k, d), for (B, d) points."""
         diff = x[:, None, :] - self.means[None]
-        atimes = np.einsum("kij,bkj->bki", self.precisions, diff)
+        atimes = np.matmul(self.precisions, diff[..., None])[..., 0]
         return self.log_wn - 0.5 * np.einsum("bki,bki->bk", diff, atimes), atimes
 
     def chart_coords(self, x: np.ndarray, tie_margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -266,15 +269,23 @@ class _LogSolver:
         return _centre(terms, charts), charts
 
     def x_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, w, M_w) for a (B, k) batch of log-ratio vectors; no solve when the precisions are shared."""
+        """(X, w, M_w) for a (B, k) batch of log-ratio vectors.
+
+        M_w is (B, d, d), or, when the precisions are shared, the one (d, d)
+        precision, which broadcasts against the batch; then X takes no solve.
+        """
         w = np.exp(u - logsumexp(u, axis=1, keepdims=True))
         if self.shared_precision:
-            m_mat = np.broadcast_to(self.precisions[0], (len(u),) + self.precisions.shape[1:])
-            return np.einsum("bk,ki->bi", w, self.means), w, m_mat
-        m_mat = np.einsum("bk,kij->bij", w, self.precisions)
+            return np.einsum("bk,ki->bi", w, self.means), w, self.precisions[0]
+        m_mat = self.weighted_precisions(w)
         nu = np.einsum("bk,ki->bi", w, self.pmeans)
         x = np.linalg.solve(m_mat, nu[..., None])[..., 0]
         return x, w, m_mat
+
+    def weighted_precisions(self, w: np.ndarray) -> np.ndarray:
+        """M_w = sum_j w_j A_j as (B, d, d) for (B, k) weights: one (1, k) @ (k, d*d) product per row."""
+        k, d, _ = self.precisions.shape
+        return np.matmul(w[:, None, :], self.precisions.reshape(k, d * d)).reshape(len(w), d, d)
 
     def residual_batch(self, u: np.ndarray, charts: np.ndarray) -> np.ndarray:
         x, _, _ = self.x_batch(u)
@@ -290,11 +301,15 @@ class _LogSolver:
         M_w (I - V'U) = M_w - sum_j w_j a_j a_j' = K_w, which at a root is
         -Hess log f, and the Woodbury identity inverts the k x k matrix with
         one d x d solve.  Row c of U is 0, so step_c stays 0.
+
+        The batch is an outer dimension of every einsum/matmul; no 2-D BLAS
+        call spans rows (see `_LogSolver`), so each row's S and step are the
+        bits it gets alone.
         """
         x, w, m_mat = self.x_batch(u)
         terms, atimes = self.component_terms(x)
         s = _centre(u - terms, charts)
-        k_mat = m_mat - np.einsum("bk,bki,bkj->bij", w, atimes, atimes)
+        k_mat = m_mat - _weighted_gram(w, atimes)
         z = _solve_rows(k_mat, np.einsum("bk,bki->bi", w * s, atimes))
         return s, -(s + np.einsum("bki,bi->bk", _centre(atimes, charts), z))
 
@@ -345,7 +360,7 @@ class _LogSolver:
     def relative_derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log f, grad f / f and Hess f / f as (B,), (B, d) and (B, d, d) batches for (B, d) points."""
         grad, log_f, w, atimes = self.relative_gradient(x)
-        hess = np.einsum("bk,bki,bkj->bij", w, atimes, atimes) - np.einsum("bk,kij->bij", w, self.precisions)
+        hess = _weighted_gram(w, atimes) - self.weighted_precisions(w)
         return log_f, grad, 0.5 * (hess + hess.transpose(0, 2, 1))
 
     def polish(self, x: np.ndarray) -> np.ndarray:
@@ -380,6 +395,10 @@ MAX_DIM, MAX_COMPONENTS = 6, 6
 # polish stops a row at this gradient norm, after this many steps, or when
 # none of this many rungs lowers its gradient norm
 _POLISH_GRAD_TOL, _POLISH_STEPS, _POLISH_RUNGS = 1e-15, 8, 20
+# `_cluster` takes its prior-to-candidate distances in blocks of at most
+# this many coordinate differences (512 kB), so that they add nothing to
+# the peak memory of a solve
+_CLUSTER_BLOCK = 2 ** 16
 
 
 def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int):
@@ -388,65 +407,81 @@ def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int)
     `evaluate(u, rows)` gives the residual and Newton step of batch rows
     `rows` at points u (a NaN step where the Newton matrix is singular), and
     `residual(u, rows)` the residual alone.  A row stops at a residual norm
-    of at most `tolerance(u)`, after `max_iter` steps, or when no step of its
-    line search (`rungs` rungs) lowers it.
+    of at most `tolerance(u)`, which is taken row by row (an (n,) array for
+    n rows, or one scalar for all), after `max_iter` steps, or when no step
+    of its line search (`rungs` rungs) lowers it.
     """
     u = np.array(u0, dtype=float)
     n, m = u.shape
     steps = np.full((n, m), np.nan)
     stale = np.zeros(n, dtype=bool)       # rows whose step is not taken at u
     norms = np.full(n, np.inf)
+    tols = np.full(n, tolerance(u))       # kept current for the rows that move
     finite = np.flatnonzero(np.all(np.isfinite(u), axis=1))
     if len(finite):
         s, steps[finite] = evaluate(u[finite], finite)
-        norms[finite] = np.linalg.norm(s, axis=1)
-    active = np.isfinite(norms) & (norms > tolerance(u))
+        norms[finite] = _row_norms(s)
+    # the rows still iterating, ascending; each has a finite norm, so a
+    # candidate norm that is below it is finite too
+    active = np.flatnonzero(np.isfinite(norms) & (norms > tols))
 
     for _ in range(max_iter):
-        if not np.any(active):
+        if not len(active):
             break
-        renew = np.flatnonzero(active & stale)
+        renew = active[stale[active]]
         if len(renew):
             _, steps[renew] = evaluate(u[renew], renew)
             stale[renew] = False
-        idx = np.flatnonzero(active)
-        good = np.all(np.isfinite(steps[idx]), axis=1)
-        active[idx[~good]] = False
-
-        pending = idx[good]
-        step = steps[pending]
+        step = steps[active]
+        good = np.all(np.isfinite(step), axis=1)
+        tried, step = active[good], step[good]
+        moved = np.zeros(len(tried), dtype=bool)
         # Halving ladder: rung j tries the step scaled by 2^-j, and a row
         # takes its first improving rung.  Rung 0, the full step, is
         # evaluated with its own Newton step, so a row that takes it starts
         # its next step without another call.  The rows it does not improve
         # try rungs 1 ... rungs - 1 in one stacked residual call, which
         # accepts exactly what trying them one at a time would.
-        if rungs >= 1 and len(pending):
-            cand = u[pending] + step
-            cand_s, cand_steps = evaluate(cand, pending)
-            cand_norms = np.linalg.norm(cand_s, axis=1)
-            better = np.isfinite(cand_norms) & (cand_norms < norms[pending])
-            took = pending[better]
-            u[took], norms[took], steps[took] = cand[better], cand_norms[better], cand_steps[better]
-            pending, step = pending[~better], step[~better]
-        if rungs >= 2 and len(pending):
+        if rungs >= 1 and len(tried):
+            cand = u[tried] + step
+            cand_s, cand_steps = evaluate(cand, tried)
+            cand_norms = _row_norms(cand_s)
+            moved = cand_norms < norms[tried]
+            took = tried[moved]
+            u[took], norms[took], steps[took] = cand[moved], cand_norms[moved], cand_steps[moved]
+        at = np.flatnonzero(~moved)           # positions in `tried` still pending
+        if rungs >= 2 and len(at):
+            pending = tried[at]
             scales = np.ldexp(1.0, -np.arange(1, rungs))
-            cand = u[pending][:, None, :] + scales[None, :, None] * step[:, None, :]
-            cand_norms = np.linalg.norm(
-                residual(cand.reshape(-1, m), np.repeat(pending, len(scales))), axis=1,
+            cand = u[pending][:, None, :] + scales[None, :, None] * step[at][:, None, :]
+            cand_norms = _row_norms(
+                residual(cand.reshape(-1, m), np.repeat(pending, len(scales)))
             ).reshape(len(pending), len(scales))
-            better = np.isfinite(cand_norms) & (cand_norms < norms[pending][:, None])
+            better = cand_norms < norms[pending][:, None]
             hit = better.any(axis=1)
             rows = np.flatnonzero(hit)
             rung = better[rows].argmax(axis=1)
             took = pending[rows]
             u[took], norms[took] = cand[rows, rung], cand_norms[rows, rung]
             stale[took] = True
-            pending = pending[~hit]
-        active[pending] = False          # no improving step: give up on these
-        active &= norms > tolerance(u)
+            moved[at[rows]] = True
+        # rows without an improving step give up; the others go on until
+        # they reach their tolerance at the new point
+        took = tried[moved]
+        tols[took] = tolerance(u[took])
+        active = took[norms[took] > tols[took]]
 
-    return u, norms <= tolerance(u)
+    return u, norms <= tols
+
+
+def _row_norms(s: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, by the reduction `np.linalg.norm(s, axis=-1)` runs."""
+    return np.sqrt(np.add.reduce(s * s, axis=-1))
+
+
+def _weighted_gram(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_j w_j a_j a_j' as (B, d, d) for (B, k) weights and (B, k, d) vectors, one matmul per row."""
+    return np.matmul((w[..., None] * a).transpose(0, 2, 1), a)
 
 
 def _centre(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
@@ -810,9 +845,12 @@ def _cluster(
     of its representative in that array.  The prior rows are returned as
     given, so a representative does not move when later roots join it.
 
-    The loop runs once per representative: the first unlabelled candidate
-    becomes the next one and labels every later unlabelled candidate within
-    its radius, which is the same assignment.
+    The prior rows claim in one pass: each candidate goes to the first prior
+    row within its radius, from one (prior x candidates) distance matrix,
+    taken in blocks of candidates to bound its memory.  The greedy loop then
+    runs once per new representative: the first unlabelled candidate becomes
+    the next one and labels every later unlabelled candidate within its
+    radius, which is the same assignment.
     """
     points = np.array(candidates, dtype=float)
     order = np.lexsort(points.T[::-1])      # first coordinate is the primary key
@@ -827,8 +865,16 @@ def _cluster(
         labels[order[hits]] = label
         free[hits] = False
 
-    for label, r in enumerate(prior):
-        claim(r, label)
+    if len(prior) and len(points):
+        # |r| as the dot product r.r that `np.linalg.norm(r)` takes, row by row
+        radii = tol * (1.0 + np.sqrt(np.matmul(prior[:, None, :], prior[:, :, None])[:, 0, 0]))
+        block = max(1, _CLUSTER_BLOCK // (len(prior) * points.shape[1]))
+        for lo in range(0, len(points), block):
+            diff = ordered[None, lo:lo + block] - prior[:, None]
+            within = _row_norms(diff) <= radii[:, None]
+            hits = np.flatnonzero(within.any(axis=0))
+            labels[order[lo + hits]] = within[:, hits].argmax(axis=0)
+            free[lo + hits] = False
     chosen: list[int] = []
     while free.any():
         pos = int(np.argmax(free))          # every candidate before it is labelled

@@ -215,52 +215,55 @@ def het_d6k5_solver(seed=41):
     return _LogSolver(random_mixture(np.random.default_rng(seed), 6, 5))
 
 
+def batch_outputs(solver, u, charts, x):
+    """Every per-row output of the evaluations that `iterate`, `polish` and classification run."""
+    s, step = solver.residual_and_step_batch(u, charts)
+    return (solver.residual_batch(u, charts), s, step, *solver.relative_derivatives(x), solver.polish(x))
+
+
 def test_residual_rows_do_not_depend_on_batch():
-    # BLAS matmul rounds a row differently with the number of rows beside it;
-    # the residual must not, or chunked and stacked solves drift apart.  Rows
-    # in different charts share the batch.
+    # The batch is an outer dimension of every einsum/matmul; no 2-D BLAS
+    # call spans rows.  A stacked matmul makes one BLAS call per row with the
+    # same shape and strides whatever the batch, so a row's bits cannot
+    # depend on the rows beside it, on its offset in the batch, or on the
+    # batch being a strided slice; folding rows into one 2-D matmul would
+    # round them differently, and chunked and stacked solves would drift
+    # apart.  Rows in different charts share the batch, with distinct
+    # precisions, with one shared precision (X without a solve), and in 1-d.
     solver = het_d6k5_solver()
+    shared = _LogSolver(random_mixture(np.random.default_rng(50), 6, 5, homoscedastic=True))
+    sweep = _LogSolver(random_mixture_1d(np.random.default_rng(51)))
+    sweep_pair = _LogSolver(pair_mixture_1d())
+    assert not solver.shared_precision and shared.shared_precision
+    assert not sweep.shared_precision and sweep_pair.shared_precision
     rng = np.random.default_rng(42)
+    for each in (solver, shared, sweep, sweep_pair):
+        m = each.mixture
+        u = rng.uniform(-6.0, 6.0, size=(200, m.n_components))
+        charts = rng.integers(0, m.n_components, size=200)
+        x = rng.uniform(-4.0, 4.0, size=(200, m.dim))
+        # the roots and points near them, which polish moves only a little,
+        # and points far from them, which stall or move a long way
+        roots = np.array([p.location for p in find_critical_points(m).points])
+        x[:len(roots)] = roots + 1e-4 * rng.standard_normal(roots.shape)
+        stacked = batch_outputs(each, u, charts, x)
+        subsets = [slice(1, None, 2), slice(3, 40)] + [slice(i, i + 1) for i in range(200)]
+        for rows in subsets:
+            alone = batch_outputs(each, u[rows], charts[rows], x[rows])
+            assert all(np.array_equal(a[rows], b) for a, b in zip(stacked, alone)), (m.dim, rows)
+        # the chart's own residual and step entries are exact
+        s, step = stacked[1], stacked[2]
+        assert np.all(s[np.arange(200), charts] == 0.0) and np.all(step[np.arange(200), charts] == 0.0)
+        polished = stacked[-1][:len(roots)]
+        assert np.linalg.norm(each.relative_gradient(polished)[0], axis=1).max() <= 1e-12
+    # and so does every row of the k x k Newton matrix behind `reduced_jacobian`
     u = rng.uniform(-6.0, 6.0, size=(200, 5))
     charts = rng.integers(0, 5, size=200)
-    stacked = solver.residual_batch(u, charts)
-    for i in range(len(u)):
-        assert np.array_equal(stacked[i], solver.residual_batch(u[i:i + 1], charts[i:i + 1])[0]), i
-    # `iterate` carries a row's Newton step from the batch of its full step
-    # into its next step, so every row of the step must match too, with
-    # distinct precisions and with one shared precision (X without a solve)
-    shared = _LogSolver(random_mixture(np.random.default_rng(50), 6, 5, homoscedastic=True))
-    assert not solver.shared_precision and shared.shared_precision
-    rows = np.arange(len(u))
-    for each in (solver, shared):
-        s, step = each.residual_and_step_batch(u, charts)
-        for i in range(len(u)):
-            s_i, step_i = each.residual_and_step_batch(u[i:i + 1], charts[i:i + 1])
-            assert np.array_equal(s[i], s_i[0]) and np.array_equal(step[i], step_i[0]), i
-        # the chart's own residual and step entries are exact
-        assert np.all(s[rows, charts] == 0.0) and np.all(step[rows, charts] == 0.0)
-    # and so does every row of the k x k Newton matrix behind `reduced_jacobian`
     s, jac = solver.residual_and_jacobian_batch(u, charts)
     for i in range(len(u)):
         s_i, jac_i = solver.residual_and_jacobian_batch(u[i:i + 1], charts[i:i + 1])
         assert np.array_equal(s[i], s_i[0]) and np.array_equal(jac[i], jac_i[0]), i
-    assert np.array_equal(jac[rows, charts], np.eye(5)[charts])
-    # polish and classification run on the density-relative derivatives in x
-    m = solver.mixture
-    x = rng.uniform(-4.0, 4.0, size=(200, m.dim))
-    stacked = solver.relative_derivatives(x)
-    for i in range(len(x)):
-        alone = solver.relative_derivatives(x[i:i + 1])
-        assert all(np.array_equal(a[i], b[0]) for a, b in zip(stacked, alone)), i
-    # so polishing a batch gives each row the point it gets alone: rows near
-    # the roots, and rows far from them that stall or move a long way
-    roots = np.array([p.location for p in find_critical_points(m).points])
-    near = roots + 1e-4 * rng.standard_normal(roots.shape)
-    starts = np.concatenate([near, x[:40]])
-    polished = solver.polish(starts)
-    assert np.linalg.norm(solver.relative_gradient(polished[:len(roots)])[0], axis=1).max() <= 1e-12
-    for i in range(len(starts)):
-        assert np.array_equal(polished[i], solver.polish(starts[i:i + 1])[0]), i
+    assert np.array_equal(jac[np.arange(200), charts], np.eye(5)[charts])
 
 
 def test_solve_rows_gives_nan_only_to_singular_rows(monkeypatch):
@@ -471,6 +474,112 @@ def test_blocked_ladder_matches_one_rung_at_a_time(monkeypatch):
             assert np.array_equal(roots, solver.x_batch(u[300:][converged[300:]])[0])
 
 
+def damped_newton_reference(u0, evaluate, residual, tolerance, max_iter: int, rungs: int):
+    """`_damped_newton` as it was before it carried the active rows as one
+    index array and cached each row's tolerance, kept as the oracle that
+    the leaner loop must match bit for bit."""
+    u = np.array(u0, dtype=float)
+    n, m = u.shape
+    steps = np.full((n, m), np.nan)
+    stale = np.zeros(n, dtype=bool)       # rows whose step is not taken at u
+    norms = np.full(n, np.inf)
+    finite = np.flatnonzero(np.all(np.isfinite(u), axis=1))
+    if len(finite):
+        s, steps[finite] = evaluate(u[finite], finite)
+        norms[finite] = np.linalg.norm(s, axis=1)
+    active = np.isfinite(norms) & (norms > tolerance(u))
+
+    for _ in range(max_iter):
+        if not np.any(active):
+            break
+        renew = np.flatnonzero(active & stale)
+        if len(renew):
+            _, steps[renew] = evaluate(u[renew], renew)
+            stale[renew] = False
+        idx = np.flatnonzero(active)
+        good = np.all(np.isfinite(steps[idx]), axis=1)
+        active[idx[~good]] = False
+
+        pending = idx[good]
+        step = steps[pending]
+        # Halving ladder: rung j tries the step scaled by 2^-j, and a row
+        # takes its first improving rung.  Rung 0, the full step, is
+        # evaluated with its own Newton step, so a row that takes it starts
+        # its next step without another call.  The rows it does not improve
+        # try rungs 1 ... rungs - 1 in one stacked residual call, which
+        # accepts exactly what trying them one at a time would.
+        if rungs >= 1 and len(pending):
+            cand = u[pending] + step
+            cand_s, cand_steps = evaluate(cand, pending)
+            cand_norms = np.linalg.norm(cand_s, axis=1)
+            better = np.isfinite(cand_norms) & (cand_norms < norms[pending])
+            took = pending[better]
+            u[took], norms[took], steps[took] = cand[better], cand_norms[better], cand_steps[better]
+            pending, step = pending[~better], step[~better]
+        if rungs >= 2 and len(pending):
+            scales = np.ldexp(1.0, -np.arange(1, rungs))
+            cand = u[pending][:, None, :] + scales[None, :, None] * step[:, None, :]
+            cand_norms = np.linalg.norm(
+                residual(cand.reshape(-1, m), np.repeat(pending, len(scales))), axis=1,
+            ).reshape(len(pending), len(scales))
+            better = np.isfinite(cand_norms) & (cand_norms < norms[pending][:, None])
+            hit = better.any(axis=1)
+            rows = np.flatnonzero(hit)
+            rung = better[rows].argmax(axis=1)
+            took = pending[rows]
+            u[took], norms[took] = cand[rows, rung], cand_norms[rows, rung]
+            stale[took] = True
+            pending = pending[~hit]
+        active[pending] = False          # no improving step: give up on these
+        active &= norms > tolerance(u)
+
+    return u, norms <= tolerance(u)
+
+
+def test_damped_newton_matches_reference_loop(monkeypatch):
+    # One batch mixes rows that converge after different numbers of steps
+    # (starts 1e-8, 1e-3 and 1e-1 from the roots), rows that stall (starts
+    # far out), and rows that start non-finite; polish runs the same loop on
+    # the same kind of batch, with one scalar tolerance for every row.
+    solver = het_d6k5_solver()
+    m = solver.mixture
+    rng = np.random.default_rng(47)
+    roots = np.array([p.location for p in find_critical_points(m).points])
+    near = np.concatenate([roots + scale * rng.standard_normal(roots.shape) for scale in (1e-8, 1e-3, 1e-1)])
+    x0 = np.concatenate([near, rng.uniform(-8.0, 8.0, size=(150, m.dim))])
+    u0, charts = solver.chart_coords(x0)
+    far_u0, far_charts = random_starts(rng, m.n_components, 8.0, 150)
+    u0, charts = np.concatenate([u0, far_u0]), np.concatenate([charts, far_charts])
+    u0[3, 1], u0[len(near) + 4, 0], x0[5, 2], x0[len(near) + 6, 0] = np.nan, np.inf, np.nan, -np.inf
+    nonfinite = ~np.all(np.isfinite(u0), axis=1)
+
+    def run(impl, rungs, max_iter):
+        monkeypatch.setattr(solver_module, "MAX_HALVINGS", rungs)
+        monkeypatch.setattr(solver_module, "_POLISH_RUNGS", rungs)
+        monkeypatch.setattr(solver_module, "NEWTON_MAX_ITER", max_iter)
+        monkeypatch.setattr(solver_module, "_POLISH_STEPS", max_iter)
+        out = []
+        monkeypatch.setattr(solver_module, "_damped_newton", lambda *args: out.append(impl(*args)) or out[-1])
+        solver.iterate(u0, charts)
+        solver.polish(x0)
+        return out
+
+    lean = solver_module._damped_newton
+    finals = {}
+    for rungs in (0, 1, 12):
+        for max_iter in (2, 200):
+            got, want = run(lean, rungs, max_iter), run(damped_newton_reference, rungs, max_iter)
+            assert len(got) == len(want) == 2
+            for (u, ok), (ref_u, ref_ok) in zip(got, want):
+                assert np.array_equal(u, ref_u, equal_nan=True) and np.array_equal(ok, ref_ok), (rungs, max_iter)
+            finals[rungs, max_iter] = got[0]
+    # the batch holds what it should: rows that need more than two steps,
+    # rows that never converge, and non-finite rows that stay where they are
+    (u, full), (_, short) = finals[12, 200], finals[12, 2]
+    assert 0 < np.count_nonzero(short) < np.count_nonzero(full) < len(u0)
+    assert np.array_equal(u[nonfinite], u0[nonfinite], equal_nan=True)
+
+
 def counting_residual_calls(solver):
     """Wrap the solver's two residual evaluations; returns {name: [calls, rows]}."""
     counts = {}
@@ -607,6 +716,27 @@ START_SOURCE_BATTERY_COUNTS = [
     (3, {5: 1, 6: 2}, True), (7, {5: 3, 6: 4}, True), (13, {4: 2, 5: 6, 6: 5}, True),
     (5, {4: 2, 5: 3}, True),
 ]
+
+
+def needles_mixture(k):
+    """k thin needles in the plane, equal weights: component i has unit
+    normal n_i at angle pi i / k + 0.1, mean n_i and covariance
+    4 t_i t_i' + 4e-4 n_i n_i' with t_i the unit tangent."""
+    angles = np.pi * np.arange(k) / k + 0.1
+    normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    tangents = np.stack([-np.sin(angles), np.cos(angles)], axis=1)
+    covs = 4.0 * np.einsum("ki,kj->kij", tangents, tangents) + 4e-4 * np.einsum("ki,kj->kij", normals, normals)
+    return Mixture.from_arrays(np.full(k, 1.0 / k), normals, covs)
+
+
+@pytest.mark.parametrize("k, floor", [(3, 9), (4, 13), (5, 17)])
+def test_needles_keep_their_critical_points(k, floor):
+    # A no-loss floor, not the truth: the needles have 13, 25 and 41
+    # critical points (a dense start set finds them all), and the solver's
+    # mean, midpoint and chord starts find 9, 13 and 17.  A rounding-level
+    # change in the Newton engine must not quietly lose any of those, which
+    # the benchmark's fingerprints alone would not show.
+    assert find_critical_points(needles_mixture(k)).n_critical >= floor
 
 
 def test_start_sources_keep_critical_set():
