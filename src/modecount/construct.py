@@ -142,11 +142,10 @@ def radial_critical_roots(n: int, a: float) -> list[float]:
     return roots
 
 
-def lift(mixture: Mixture, target_dim: int, pad_covariance: np.ndarray | float | None = None) -> Mixture:
-    """Embed a mixture in a higher dimension with a centered Gaussian factor.
+def lift(mixture: Mixture, target_dim: int) -> Mixture:
+    """Embed a mixture in a higher dimension with a centered standard Gaussian factor.
 
-    Means gain zero coordinates; covariances gain a block `pad_covariance`
-    (identity by default, a scalar is taken as a multiple of the identity).
+    Means gain zero coordinates; covariances gain an identity block.
     Lifting a homoscedastic mixture keeps it homoscedastic, and the lifted
     modes are exactly the base modes with zero pad coordinates.
     """
@@ -154,16 +153,8 @@ def lift(mixture: Mixture, target_dim: int, pad_covariance: np.ndarray | float |
     extra = target_dim - d
     if extra <= 0:
         raise ValueError(f"target dimension {target_dim} must exceed the current dimension {d}")
-    if pad_covariance is None:
-        pad = np.eye(extra)
-    else:
-        pad = np.asarray(pad_covariance, dtype=float)
-        if pad.ndim == 0:
-            pad = float(pad) * np.eye(extra)
-    if pad.shape != (extra, extra):
-        raise ValueError(f"pad covariance must be {extra}x{extra}, got {pad.shape}")
     means = np.hstack([mixture.means, np.zeros((mixture.n_components, extra))])
-    covs = np.array([block_diag(c, pad) for c in mixture.covariances])
+    covs = np.array([block_diag(c, np.eye(extra)) for c in mixture.covariances])
     return Mixture.from_arrays(mixture.weights, means, covs)
 
 
@@ -345,14 +336,7 @@ def tilt_polish(
     return last
 
 
-def _build_seed(
-    triple: SeedTriple,
-    registry: dict[SeedTriple, object] | None,
-    epsilon: float,
-) -> tuple[Mixture, int]:
-    if registry and triple in registry:
-        mixture, expected = registry[triple](triple)  # type: ignore[operator]
-        return mixture, int(expected)
+def _build_seed(triple: SeedTriple, epsilon: float) -> tuple[Mixture, int]:
     if triple == SeedTriple(1, 2, 2):
         # well-separated symmetric pair: two clean modes straddling a saddle
         means = np.array([[-2.0], [2.0]])
@@ -362,13 +346,12 @@ def _build_seed(
         return simplex_seed(triple.comps, epsilon)
     raise RecipeError(
         f"no builder for seed triple ({triple.dim}, {triple.comps}, {triple.modes}); "
-        "register one explicitly to realize this recipe"
+        "only simplex triples (d, d + 1, d + 2) with d >= 2 and the pair (1, 2, 2) are built"
     )
 
 
 def realize_recipe(
     recipe: SeedRecipe,
-    registry: dict[SeedTriple, object] | None = None,
     epsilon: float = REALIZE_EPSILON,
     config: SolverConfig | None = None,
     padding: PaddingSpec | None = None,
@@ -377,11 +360,11 @@ def realize_recipe(
 ) -> tuple[Mixture, dict]:
     """Build a witness mixture from a recipe and verify its mode count.
 
-    Seeds are built natively (simplex triples and the 1-d pair (1,2,2)) or
-    through the registry, chained by Cartesian product, lifted to
-    recipe.lift_to dimensions, then remote-padded with recipe.pad extra
-    components.  The solver must confirm at least recipe.value modes; a
-    shortfall raises RecipeVerificationError carrying the achieved count.
+    Seeds are built natively (simplex triples and the 1-d pair (1,2,2)),
+    chained by Cartesian product, lifted to recipe.lift_to dimensions, then
+    remote-padded with recipe.pad extra components.  The solver must
+    confirm at least recipe.value modes; a shortfall raises
+    RecipeVerificationError carrying the achieved count.
     So does a nondegenerate final report that fails the Morse inequalities
     or the Morse equality, since such a report has missed critical points and its mode count
     certifies nothing.  Near-degenerate outcomes get one tilt-polish pass
@@ -394,7 +377,7 @@ def realize_recipe(
     if recipe.seeds:
         witness: Mixture | None = None
         for triple in recipe.seeds:
-            seed_mix, _ = _build_seed(triple, registry, epsilon)
+            seed_mix, _ = _build_seed(triple, epsilon)
             witness = seed_mix if witness is None else product(witness, seed_mix)
         assert witness is not None
     else:

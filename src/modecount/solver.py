@@ -409,7 +409,8 @@ def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int)
     `residual(u, rows)` the residual alone.  A row stops at a residual norm
     of at most `tolerance(u)`, which is taken row by row (an (n,) array for
     n rows, or one scalar for all), after `max_iter` steps, or when no step
-    of its line search (`rungs` rungs) lowers it.
+    of its line search (`rungs` rungs) lowers it.  Only a row that stops at
+    a finite residual norm within its tolerance counts as converged.
     """
     u = np.array(u0, dtype=float)
     n, m = u.shape
@@ -471,7 +472,8 @@ def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int)
         tols[took] = tolerance(u[took])
         active = took[norms[took] > tols[took]]
 
-    return u, norms <= tols
+    # a row that starts non-finite keeps norm inf, and its tolerance can be inf
+    return u, np.isfinite(norms) & (norms <= tols)
 
 
 def _row_norms(s: np.ndarray) -> np.ndarray:
@@ -696,23 +698,76 @@ def _json_float(v) -> float | str | None:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Deduplicated critical points plus count, Morse, and bound verdicts."""
+    """What a solve found, and the count, Morse and bound verdicts read from it.
+
+    The fields are the solve's own outputs: the deduplicated, classified
+    critical points and the number of Newton starts run and converged.
+    Every verdict is a property of those fields, so a report made with
+    `dataclasses.replace(report, points=...)` judges its new points.
+    """
 
     mixture: Mixture
     points: tuple[CriticalPoint, ...]
-    reference: int
-    all_nondegenerate: bool
-    morse_inequality_ok: bool
-    morse_equality_ok: bool
-    upper_sandwich_ok: bool
-    u_best: BoundValue | None
-    u_mode: BoundValue | None
-    u_best_hom: BoundValue | None
-    hom_rank: int | None
     n_starts: int
     n_converged: int
-    n_dropped: int
     config: SolverConfig = field(default_factory=SolverConfig)
+
+    @property
+    def reference(self) -> int:
+        """The chart of each point's `reduced_coords` (see `_reference`)."""
+        return _reference(self.mixture)
+
+    @property
+    def n_dropped(self) -> int:
+        return self.n_starts - self.n_converged
+
+    @property
+    def all_nondegenerate(self) -> bool:
+        return bool(self.points) and all(not p.degenerate for p in self.points)
+
+    @property
+    def morse_inequality_ok(self) -> bool:
+        """M <= floor((N+1)/2) and C_(d-1) >= M - 1; vacuously true unless all_nondegenerate."""
+        return _morse_verdicts(self.mixture.dim, self.points)[0] or not self.all_nondegenerate
+
+    @property
+    def morse_equality_ok(self) -> bool:
+        """sum_i (-1)^(d-i) c_i = 1; vacuously true unless all_nondegenerate."""
+        return _morse_verdicts(self.mixture.dim, self.points)[1] or not self.all_nondegenerate
+
+    @property
+    def u_best(self) -> BoundValue | None:
+        """U_best = min(U_het, U_aug) at (d, k); None for a single Gaussian, where the bounds do not start."""
+        k = self.mixture.n_components
+        return upper_bound("BEST", self.mixture.dim, k) if k >= 2 else None
+
+    @property
+    def u_mode(self) -> BoundValue | None:
+        """floor((U_best + 1) / 2)."""
+        u_best = self.u_best
+        return None if u_best is None else mode_bound_from_critical(u_best)
+
+    @cached_property
+    def hom_rank(self) -> int | None:
+        """The affine rank of the means of a homoscedastic mixture with k >= 2, else None."""
+        if self.mixture.n_components < 2 or not self.mixture.is_homoscedastic():
+            return None
+        return affine_rank(self.mixture.means)
+
+    @property
+    def u_best_hom(self) -> BoundValue | None:
+        """U_best_hom at the affine rank of the means, when that rank is at least 1."""
+        r = self.hom_rank
+        return None if r is None or r < 1 else upper_bound("BEST_HOM", r, self.mixture.n_components)
+
+    @property
+    def upper_sandwich_ok(self) -> bool:
+        """N <= U_best, M <= U_mode and N <= U_best_hom; vacuously true unless all_nondegenerate."""
+        if self.u_best is None or not self.all_nondegenerate:
+            return True
+        n = self.n_critical
+        ok = n <= self.u_best.exact and self.n_modes <= self.u_mode.exact
+        return ok and (self.u_best_hom is None or n <= self.u_best_hom.exact)
 
     @property
     def n_critical(self) -> int:
@@ -765,10 +820,17 @@ class SolveReport:
         }
 
 
-def _classify(
-    solver: _LogSolver, xs: np.ndarray, config: SolverConfig, reference: int | None
-) -> list[CriticalPoint]:
-    """Classify each of the (B, d) points, critical or not; callers apply `grad_accept_tol`."""
+def _reference(mixture: Mixture) -> int:
+    """The report's reference component, the chart of `reduced_coords`: the heaviest, lowest index on ties."""
+    return int(np.argmax(mixture.weights))
+
+
+def _classify(solver: _LogSolver, xs: np.ndarray, config: SolverConfig) -> list[CriticalPoint]:
+    """Classify each of the (B, d) points, critical or not; callers apply `grad_accept_tol`.
+
+    A single Gaussian has no ratio system, so its points carry no reduced
+    coordinates.
+    """
     log_f, grad, hess = solver.relative_derivatives(xs)
     eigs = np.linalg.eigvalsh(hess)
     abs_eigs = np.abs(eigs)
@@ -785,6 +847,7 @@ def _classify(
     images, _, _ = solver.x_batch(log_y)
     s = _centre(log_y - solver.component_terms(images)[0], charts)
     reduced_residuals = np.linalg.norm(-np.exp(log_y) * np.expm1(-s), axis=1)
+    reference = _reference(solver.mixture) if solver.mixture.n_components >= 2 else None
     points = []
     for i, x in enumerate(xs):
         reduced_coords = reduced_residual = reduced_reference = None
@@ -821,8 +884,7 @@ def classify(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None
     the configured tolerance.
     """
     config = config or SolverConfig()
-    reference = int(np.argmax(mixture.weights)) if mixture.n_components >= 2 else None
-    point = _classify(_LogSolver(mixture), mixture._check_point(x)[None], config, reference)[0]
+    point = _classify(_LogSolver(mixture), mixture._check_point(x)[None], config)[0]
     if not point.gradient_residual <= config.grad_accept_tol:
         raise ValueError(
             f"point is not critical: relative gradient norm {point.gradient_residual:.3e} "
@@ -885,9 +947,7 @@ def _cluster(
     return np.concatenate([prior, ordered[np.array(chosen, dtype=int)]]), labels
 
 
-def _dedup_points(
-    candidates: np.ndarray, solver: _LogSolver, config: SolverConfig, reference: int | None
-) -> list[CriticalPoint]:
+def _dedup_points(candidates: np.ndarray, solver: _LogSolver, config: SolverConfig) -> list[CriticalPoint]:
     """Cluster near-identical locations; keep each cluster's best-classified member.
 
     The best member passes the gradient test with the smallest gradient
@@ -899,7 +959,7 @@ def _dedup_points(
     members = np.array(candidates)
     members = members[np.lexsort(members.T[::-1])]      # so `min` keeps the first on ties
     _, labels = _cluster(members, config.dedup_tol)
-    classified = _classify(solver, members, config, reference)
+    classified = _classify(solver, members, config)
     points: list[CriticalPoint] = []
     for label in range(labels.max() + 1):
         critical = [p for p, at in zip(classified, labels)
@@ -920,28 +980,31 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     """Locate and classify the critical points of a mixture density.
 
     Multistart damped Newton on the log-ratio system, each start in the
-    chart of its dominant component (see `_LogSolver`), seeded from three
-    sources: the component means, the pairwise mean midpoints, and restart
-    rounds that reseed on the chords between the roots found so far (see
-    `_chord_starts`).  Converged roots are sharpened by Newton steps on the
-    relative gradient, deduplicated, and classified.  There is no
+    chart of its dominant component (see `_LogSolver`), run in rounds.
+    Round 0 starts at the component means and the pairwise mean midpoints;
+    each later round reseeds on the chords between the roots found so far
+    (see `_chord_starts`).  Converged roots are sharpened by Newton steps on
+    the relative gradient, deduplicated, and classified.  There is no
     completeness certificate; the report carries start/drop diagnostics
     instead.
 
-    The restart rounds keep their representatives fixed: a new root joins
-    the first representative within `dedup_tol` of it (see `_cluster`), and
-    only the roots that join none become new representatives, appended
-    after the old ones.  A round then seeds only the chords with at least
-    one new endpoint.  That skip is exact: a chord between two older
-    representatives was seeded one round earlier from the same points, each
-    start's Newton path does not depend on its batch, so its starts would
-    return the same roots, and those already joined a representative.
-    `n_starts` and `n_converged` count the starts that ran.
+    Every round keeps the representatives found before it fixed: a new root
+    joins the first representative within `dedup_tol` of it (see
+    `_cluster`), and only the roots that join none become new
+    representatives, appended after the old ones.  The rounds stop when one
+    adds no representative, or after six rounds.  A round seeds only
+    the chords with at least one endpoint that the round before it added.
+    That skip is exact: a chord between two older representatives was
+    seeded one round earlier from the same points, each start's Newton path
+    does not depend on its batch, so its starts would return the same roots,
+    and those already joined a representative.  `n_starts` and
+    `n_converged` count the starts that ran.
     """
     config = config or SolverConfig()
     d, k = mixture.dim, mixture.n_components
     if k == 1:
-        return _assemble_report(_LogSolver(mixture), mixture.means, config, n_starts=1, n_converged=1)
+        return SolveReport(mixture, tuple(_dedup_points(mixture.means, _LogSolver(mixture), config)),
+                           1, 1, config)
     if (d > MAX_DIM or k > MAX_COMPONENTS) and not config.force:
         raise ValueError(
             f"instance size d={d}, k={k} exceeds configured limits "
@@ -952,82 +1015,23 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     solver = _LogSolver(mixture)
     first, second = np.triu_indices(k, 1)
     starts = np.concatenate([mixture.means, 0.5 * (mixture.means[first] + mixture.means[second])])
-
-    roots, n_converged = solver.solve_batch(starts)
-    reps, _ = _cluster(roots, config.dedup_tol)
-    n_starts_total, n_old = len(starts), 0
-
-    # Restart rounds: critical points the means and midpoints miss (such as
-    # tiny-responsibility saddles between far-apart modes) sit on chords
-    # between found points, so reseed Newton there until the set stops growing.
-    # Representatives stay fixed, so a round needs only the chords that touch
-    # a representative the previous round added.
-    for _ in range(5):
-        chord_starts = _chord_starts(solver, reps, n_old)
-        if not len(chord_starts):
+    reps = np.empty((0, d))
+    n_starts = n_converged = 0
+    # Critical points the means and midpoints miss (such as tiny-responsibility
+    # saddles between far-apart modes) sit on chords between found points, so
+    # every later round reseeds there.
+    for _ in range(6):
+        roots, converged = solver.solve_batch(starts)
+        n_starts, n_converged = n_starts + len(starts), n_converged + converged
+        reps, n_old = _cluster(roots, config.dedup_tol, prior=reps)[0], len(reps)
+        if len(reps) == n_old:
             break
-        n_starts_total += len(chord_starts)
-        more_roots, more_converged = solver.solve_batch(chord_starts)
-        n_converged += more_converged
-        if not len(more_roots):
+        starts = _chord_starts(solver, reps, n_old)
+        if not len(starts):
             break
-        merged, _ = _cluster(more_roots, config.dedup_tol, prior=reps)
-        if len(merged) == len(reps):
-            break
-        reps, n_old = merged, len(reps)
 
-    return _assemble_report(solver, solver.polish(reps), config,
-                            n_starts=n_starts_total, n_converged=n_converged)
-
-
-def _assemble_report(
-    solver: _LogSolver,
-    candidates: np.ndarray,
-    config: SolverConfig,
-    n_starts: int,
-    n_converged: int,
-) -> SolveReport:
-    mixture = solver.mixture
-    d, k = mixture.dim, mixture.n_components
-    reference = int(np.argmax(mixture.weights))
-    points = _dedup_points(candidates, solver, config, reference if k >= 2 else None)
-
-    n = len(points)
-    n_modes = sum(1 for p in points if p.is_mode)
-    all_nondeg = bool(points) and all(not p.degenerate for p in points)
-    inequality_ok, equality_ok = _morse_verdicts(d, [p.morse_index for p in points])
-
-    u_best = u_mode = u_best_hom = hom_rank = None
-    sandwich_ok = True
-    if k >= 2:          # the bounds start at two components
-        u_best = upper_bound("BEST", d, k)
-        u_mode = mode_bound_from_critical(u_best)
-        if mixture.is_homoscedastic():
-            hom_rank = affine_rank(mixture.means)
-            if hom_rank >= 1:
-                u_best_hom = upper_bound("BEST_HOM", hom_rank, k)
-        if all_nondeg:
-            sandwich_ok = n <= u_best.exact and n_modes <= u_mode.exact
-            if u_best_hom is not None:
-                sandwich_ok = sandwich_ok and n <= u_best_hom.exact
-
-    return SolveReport(
-        mixture=mixture,
-        points=tuple(points),
-        reference=reference,
-        all_nondegenerate=all_nondeg,
-        morse_inequality_ok=inequality_ok or not all_nondeg,
-        morse_equality_ok=equality_ok or not all_nondeg,
-        upper_sandwich_ok=sandwich_ok,
-        u_best=u_best,
-        u_mode=u_mode,
-        u_best_hom=u_best_hom,
-        hom_rank=hom_rank,
-        n_starts=n_starts,
-        n_converged=n_converged,
-        n_dropped=n_starts - n_converged,
-        config=config,
-    )
+    return SolveReport(mixture, tuple(_dedup_points(solver.polish(reps), solver, config)),
+                       n_starts, n_converged, config)
 
 
 def solve_reduced_homoscedastic(mixture: Mixture, config: SolverConfig | None = None) -> SolveReport:
@@ -1050,13 +1054,13 @@ def solve_reduced_homoscedastic(mixture: Mixture, config: SolverConfig | None = 
     solver = _LogSolver(mixture)
     candidates = np.array([amap.inverse(np.concatenate([p.location, np.zeros(d - r)]))
                            for p in inner.points]).reshape(-1, d)
-    return _assemble_report(solver, solver.polish(candidates), config,
-                            n_starts=inner.n_starts, n_converged=inner.n_converged)
+    return SolveReport(mixture, tuple(_dedup_points(solver.polish(candidates), solver, config)),
+                       inner.n_starts, inner.n_converged, config)
 
 
-def _morse_verdicts(dim: int, indices: Sequence[int]) -> tuple[bool, bool]:
+def _morse_verdicts(dim: int, points: Sequence[CriticalPoint]) -> tuple[bool, bool]:
     # the inequality and the equality of `morse_check`
-    indices = list(indices)
+    indices = [p.morse_index for p in points]
     n, m, c = len(indices), indices.count(dim), indices.count(dim - 1)
     return m <= (n + 1) // 2 and c >= m - 1, sum((-1) ** (dim - i) for i in indices) == 1
 
@@ -1070,7 +1074,7 @@ def morse_check(report: SolveReport, bounds: tuple[BoundValue, BoundValue] | Non
     a large ball, where -log f is coercive); when a (critical bound, mode
     bound) pair is supplied, also checks N and M against it.
     """
-    inequality_ok, equality_ok = _morse_verdicts(report.mixture.dim, [p.morse_index for p in report.points])
+    inequality_ok, equality_ok = _morse_verdicts(report.mixture.dim, report.points)
     ok = inequality_ok and (equality_ok or not report.all_nondegenerate)
     if bounds is not None:
         u_crit, u_mode = bounds

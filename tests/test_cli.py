@@ -247,21 +247,24 @@ def test_verify_csv(capsys, pair_file):
 
 
 def test_cli_fails_a_report_that_breaks_only_the_morse_equality(capsys, pair_file, monkeypatch):
+    # without one of its two modes the pair's report has N = 2 and M = 1: it
+    # keeps the inequalities and the sandwich, and breaks the equality 1 - 1 != 1
     solve = cli.find_critical_points
 
-    def equality_broken(*args, **kwargs):
+    def one_mode_missing(*args, **kwargs):
         report = solve(*args, **kwargs)
-        assert report.all_nondegenerate and report.morse_inequality_ok and report.upper_sandwich_ok
-        return dataclasses.replace(report, morse_equality_ok=False)
+        drop = next(i for i, p in enumerate(report.points) if p.is_mode)
+        return dataclasses.replace(report, points=report.points[:drop] + report.points[drop + 1:])
 
-    monkeypatch.setattr(cli, "find_critical_points", equality_broken)
+    monkeypatch.setattr(cli, "find_critical_points", one_mode_missing)
     code, out, _ = run(capsys, ["solve", pair_file])
     assert code == EXIT_VERIFICATION
-    assert "morse_inequality_ok: True   morse_equality_ok: False" in out
-    code, out, _ = run(capsys, ["verify", pair_file, "--claim", "2"])
+    assert "critical points: 2   modes: 1" in out
+    assert "morse_inequality_ok: True   morse_equality_ok: False   upper_sandwich_ok: True" in out
+    code, out, _ = run(capsys, ["verify", pair_file, "--claim", "1"])
     assert code == EXIT_VERIFICATION and "verdict: FAIL" in out
     assert "morse_equality_ok: False" in out
-    code, out, _ = run(capsys, ["verify", pair_file, "--claim", "2", "--output", "json"])
+    code, out, _ = run(capsys, ["verify", pair_file, "--claim", "1", "--output", "json"])
     doc = json.loads(out)
     assert doc["verdict"] == "FAIL" and doc["morse_equality_ok"] is False
     assert doc["morse_inequality_ok"] is True and doc["upper_sandwich_ok"] is True

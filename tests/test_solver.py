@@ -10,6 +10,7 @@ from scipy.stats import multivariate_normal
 
 from modecount import (
     Mixture,
+    SolveReport,
     SolverConfig,
     build_reduced,
     classify,
@@ -19,6 +20,7 @@ from modecount import (
     morse_check,
     polish_critical,
     product,
+    realize_recipe,
     reduced_jacobian,
     residual_R,
     solve_reduced_homoscedastic,
@@ -533,7 +535,7 @@ def damped_newton_reference(u0, evaluate, residual, tolerance, max_iter: int, ru
         active[pending] = False          # no improving step: give up on these
         active &= norms > tolerance(u)
 
-    return u, norms <= tolerance(u)
+    return u, np.isfinite(norms) & (norms <= tolerance(u))
 
 
 def test_damped_newton_matches_reference_loop(monkeypatch):
@@ -550,7 +552,8 @@ def test_damped_newton_matches_reference_loop(monkeypatch):
     u0, charts = solver.chart_coords(x0)
     far_u0, far_charts = random_starts(rng, m.n_components, 8.0, 150)
     u0, charts = np.concatenate([u0, far_u0]), np.concatenate([charts, far_charts])
-    u0[3, 1], u0[len(near) + 4, 0], x0[5, 2], x0[len(near) + 6, 0] = np.nan, np.inf, np.nan, -np.inf
+    u0[3, 1], u0[len(near) + 4, 0], u0[len(near) + 8, 2] = np.nan, np.inf, -np.inf
+    x0[5, 2], x0[len(near) + 6, 0] = np.nan, -np.inf
     nonfinite = ~np.all(np.isfinite(u0), axis=1)
 
     def run(impl, rungs, max_iter):
@@ -572,12 +575,14 @@ def test_damped_newton_matches_reference_loop(monkeypatch):
             assert len(got) == len(want) == 2
             for (u, ok), (ref_u, ref_ok) in zip(got, want):
                 assert np.array_equal(u, ref_u, equal_nan=True) and np.array_equal(ok, ref_ok), (rungs, max_iter)
-            finals[rungs, max_iter] = got[0]
+            finals[rungs, max_iter] = got
     # the batch holds what it should: rows that need more than two steps,
     # rows that never converge, and non-finite rows that stay where they are
-    (u, full), (_, short) = finals[12, 200], finals[12, 2]
+    # and do not count as converged, though a row at +-inf gets tolerance inf
+    ((u, full), (_, polished)), ((_, short), _) = finals[12, 200], finals[12, 2]
     assert 0 < np.count_nonzero(short) < np.count_nonzero(full) < len(u0)
     assert np.array_equal(u[nonfinite], u0[nonfinite], equal_nan=True)
+    assert not full[nonfinite].any() and not polished[~np.all(np.isfinite(x0), axis=1)].any()
 
 
 def counting_residual_calls(solver):
@@ -1002,7 +1007,7 @@ def test_dedup_keeps_best_member_and_cluster_diameter():
     # 5e-7 is in the cluster but too far out to pass the gradient test
     saddle = [np.array([2e-10]), np.array([5e-7]), np.array([0.0]), np.array([-1e-10])]
     mode = [np.array([PAIR_MODE + 1e-12]), np.array([PAIR_MODE])]
-    points = _dedup_points(saddle + mode, _LogSolver(m), SolverConfig(), reference=0)
+    points = _dedup_points(saddle + mode, _LogSolver(m), SolverConfig())
     assert len(points) == 2
     centre, top = points
     residuals = {float(x[0]): classify(m, x).gradient_residual
@@ -1022,7 +1027,7 @@ def test_dedup_orders_mirror_points_by_rounded_location():
     nudged = np.nextafter(PAIR_MODE, np.inf)
     for upper, lower in ((PAIR_MODE, nudged), (nudged, PAIR_MODE)):
         candidates = [np.array([upper, PAIR_MODE]), np.array([lower, -PAIR_MODE])]
-        points = _dedup_points(candidates, _LogSolver(m), SolverConfig(), reference=0)
+        points = _dedup_points(candidates, _LogSolver(m), SolverConfig())
         assert [float(p.location[1]) for p in points] == [-PAIR_MODE, PAIR_MODE]
 
 
@@ -1060,6 +1065,19 @@ def test_product_pair_anchor():
     assert report.morse_equality_ok and morse_check(report)
     short = dataclasses.replace(report, points=tuple(p for p in report.points if p.morse_index > 0))
     assert not morse_check(short)
+
+
+def test_report_verdicts_follow_its_points():
+    # every verdict is read from the points, so a report whose points are
+    # replaced judges the new ones: the pair without one mode (N = 2, M = 1)
+    # keeps the inequalities and the sandwich and breaks 1 - 1 = 1
+    report = find_critical_points(pair_mixture_1d())
+    assert report.morse_equality_ok
+    drop = next(i for i, p in enumerate(report.points) if p.is_mode)
+    short = dataclasses.replace(report, points=report.points[:drop] + report.points[drop + 1:])
+    assert (short.n_critical, short.n_modes) == (2, 1)
+    assert short.morse_equality_ok is False
+    assert short.morse_inequality_ok is True and short.upper_sandwich_ok is True
 
 
 def test_single_gaussian_report():
@@ -1121,6 +1139,9 @@ def test_option_surface_is_pinned():
     # which are module constants; a new option has to justify itself here
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
         "dedup_tol", "degeneracy_tol", "grad_accept_tol", "force"]
+    # a report stores what the solve found; every verdict is computed from it
+    assert [f.name for f in dataclasses.fields(SolveReport)] == [
+        "mixture", "points", "n_starts", "n_converged", "config"]
     for fn, params in [
         (affine_rank, ["means"]),
         (Mixture.is_homoscedastic, ["self"]),
@@ -1129,6 +1150,8 @@ def test_option_surface_is_pinned():
         (radial_critical_roots, ["n", "a"]),
         (_LogSolver.iterate, ["self", "u0", "charts"]),
         (_LogSolver.solve_batch, ["self", "x0"]),
+        (lift, ["mixture", "target_dim"]),
+        (realize_recipe, ["recipe", "epsilon", "config", "padding", "pad_seed", "tilt_seed"]),
     ]:
         assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
 
