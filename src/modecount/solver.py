@@ -209,16 +209,19 @@ class _LogSolver:
 
         S(u) = (u - L(X(u))) - (u_c - L_c(X(u))),
 
-    where X(u) = M_w^{-1} nu_w with responsibilities w = softmax(u), so
-    arbitrarily large log-ratios never materialize as exponentials.  S_c
-    vanishes, and the other entries are the reduced system of chart c in
-    log y = u - u_c.  A change of chart is linear, so it leaves Newton's
-    step unchanged (Newton's method is affine invariant), but it changes
-    the residual norm that the line search and the tolerance read.  A start
-    begins in the chart of its largest log-ratio, where no ratio exceeds 1,
-    and keeps that chart; in the chart of a component that is negligible at
-    the start, a root's residual can sit far above its tolerance one step
-    from the root.
+    where X(u) = M_w^{-1} nu_w with responsibilities w = softmax(u), taken
+    as exp(u - max u) / sum (see `_softmax`), so arbitrarily large
+    log-ratios never materialize as exponentials.  M_w, nu_w and
+    K_w = M_w - sum_j w_j a_j a_j' are linear in w, so neither X(u) nor the
+    Newton step of `residual_and_step_batch` changes when w is scaled: they
+    need no log f, and this path evaluates no logsumexp.  S_c vanishes, and
+    the other entries are the reduced system of chart c in log y = u - u_c.
+    A change of chart is linear, so it leaves Newton's step unchanged
+    (Newton's method is affine invariant), but it changes the residual norm
+    that the line search and the tolerance read.  A start begins in the
+    chart of its largest log-ratio, where no ratio exceeds 1, and keeps that
+    chart; in the chart of a component that is negligible at the start, a
+    root's residual can sit far above its tolerance one step from the root.
 
     A Newton step costs one d x d solve (see `residual_and_step_batch`), and
     when every component has the same precision A, bit for bit, X(u) needs
@@ -271,10 +274,11 @@ class _LogSolver:
     def x_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(X, w, M_w) for a (B, k) batch of log-ratio vectors.
 
+        w is `_softmax(u)`: the responsibilities, summing to 1 in each row.
         M_w is (B, d, d), or, when the precisions are shared, the one (d, d)
         precision, which broadcasts against the batch; then X takes no solve.
         """
-        w = np.exp(u - logsumexp(u, axis=1, keepdims=True))
+        w = _softmax(u)
         if self.shared_precision:
             return np.einsum("bk,ki->bi", w, self.means), w, self.precisions[0]
         m_mat = self.weighted_precisions(w)
@@ -476,6 +480,20 @@ def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int)
     return u, np.isfinite(norms) & (norms <= tols)
 
 
+def _softmax(a: np.ndarray) -> np.ndarray:
+    """exp(a) / sum(exp(a)) along the last axis, taken as e / sum(e) with e = exp(a - max a).
+
+    The shifted exponentials lie in [0, 1] with at least one equal to 1, so
+    nothing overflows and the sum is at least 1; each weight is then good
+    to a few ulps whatever the size of a, where exp(a - logsumexp(a))
+    inherits the rounding of logsumexp(a), up to half an ulp of max |a|
+    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).  A -inf
+    entry gets weight 0, and a row holding +inf or NaN comes out NaN.
+    """
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _row_norms(s: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, by the reduction `np.linalg.norm(s, axis=-1)` runs."""
     return np.sqrt(np.add.reduce(s * s, axis=-1))
@@ -538,6 +556,10 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     halvings can visit, and the halvings are then replayed on those values.
     Every t is a dyadic rational with denominator at most 2^45, exact in
     floating point, so the seeds are bit-identical to one halving per call.
+    The left end of a bracket keeps the sign it starts with, since it moves
+    only to a midpoint whose slope has the same sign (a zero slope counts
+    as negative), so a round reads each slope's sign against that of the
+    bracket's first left end once, and the replay moves on those booleans.
     """
     first, second = np.triu_indices(len(reps), 1)
     new = second >= n_old
@@ -558,7 +580,7 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
     if len(pair_idx):
         t_lo, width = ts[slot], ts[slot + 1] - ts[slot]
-        f_lo = vals[pair_idx, slot]
+        lo_positive = vals[pair_idx, slot] > 0.0
         top, q, vertex = top[pair_idx], q[pair_idx], vertex[pair_idx]
         rows = np.arange(len(pair_idx))
         per_round, left = _halvings_per_round(len(pair_idx)), 40
@@ -566,13 +588,10 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
             m = min(per_round, left)
             # the 2^m - 1 dyadic points that the next m halvings can visit
             ts_round = t_lo[:, None] + np.ldexp(np.arange(1, 2 ** m), -m)[None, :] * width[:, None]
-            f_round = _chord_slopes(top, q, vertex, ts_round)
+            same = (_chord_slopes(top, q, vertex, ts_round) > 0.0) == lo_positive[:, None]
             lo = np.zeros(len(pair_idx), dtype=int)     # bracket [lo, lo + span] in units of 2^-m
             for span in 2 ** np.arange(m - 1, -1, -1):
-                f_mid = f_round[rows, lo + span - 1]
-                same = (f_mid > 0.0) == (f_lo > 0.0)
-                lo = np.where(same, lo + span, lo)
-                f_lo = np.where(same, f_mid, f_lo)
+                lo += span * same[rows, lo + span - 1]
             t_lo = t_lo + np.ldexp(lo.astype(float), -m) * width
             width = np.ldexp(width, -m)
             left -= m
@@ -606,13 +625,13 @@ def _chord_slopes(top: np.ndarray, q: np.ndarray, vertex: np.ndarray, t: np.ndar
     t holds T parameters per line as (n, T), or T shared by every line as (T,).
 
     The slope of the 1-d mixture of the terms top_i - q_i (t - t_i)^2 / 2:
-    -sum_i w_i q_i (t - t_i) with responsibilities w = softmax of the terms.
+    -sum_i w_i q_i (t - t_i) with responsibilities w = `_softmax` of the
+    terms, which needs no log-density.
     """
     offsets = t[..., None] - vertex[:, None, :]
     slopes = q[:, None, :] * offsets              # minus each term's own slope
     terms = top[:, None, :] - 0.5 * slopes * offsets
-    w = np.exp(terms - logsumexp(terms, axis=2, keepdims=True))
-    return -np.einsum("ntk,ntk->nt", w, slopes)
+    return -np.einsum("ntk,ntk->nt", _softmax(terms), slopes)
 
 
 def _halvings_per_round(n_brackets: int) -> int:

@@ -29,9 +29,10 @@ from modecount import (
 
 from modecount import solver as solver_module
 from modecount.construct import REALIZE_EPSILON, radial_critical_roots, simplex_seed, tilt_polish
-from modecount.mixture import affine_rank, reduce_homoscedastic
+from modecount.mixture import affine_rank, logsumexp, reduce_homoscedastic
 from modecount.solver import (
     _chord_slopes, _chord_starts, _cluster, _dedup_points, _halvings_per_round, _LogSolver, _restrict_to_chords,
+    _softmax,
 )
 
 from conftest import random_mixture_1d, random_spd
@@ -266,6 +267,64 @@ def test_residual_rows_do_not_depend_on_batch():
         s_i, jac_i = solver.residual_and_jacobian_batch(u[i:i + 1], charts[i:i + 1])
         assert np.array_equal(s[i], s_i[0]) and np.array_equal(jac[i], jac_i[0]), i
     assert np.array_equal(jac[np.arange(200), charts], np.eye(5)[charts])
+
+
+def test_chord_slope_rows_do_not_depend_on_batch():
+    # as for the residual rows: each chord's slopes are the bits it gets
+    # alone, at T parameters shared by every chord or at its own T
+    rng = np.random.default_rng(43)
+    for m in (het_d6k5_solver().mixture, padded_d1k6_mixture(), random_mixture_1d(np.random.default_rng(51))):
+        solver = _LogSolver(m)
+        lo, hi = m.means.min(axis=0), m.means.max(axis=0)
+        origins = rng.uniform(lo, hi, size=(60, m.dim))
+        chords = rng.uniform(lo, hi, size=(60, m.dim)) - origins
+        top, q, vertex = _restrict_to_chords(solver, origins, chords)
+        shared = np.linspace(0.0, 1.0, 33)[1:-1]
+        per_row = rng.uniform(0.0, 1.0, size=(60, 7))
+        for t in (shared, per_row):
+            stacked = _chord_slopes(top, q, vertex, t)
+            assert stacked.shape == (60, t.shape[-1]) and np.all(np.isfinite(stacked))
+            for i in range(60):
+                alone = _chord_slopes(top[i:i + 1], q[i:i + 1], vertex[i:i + 1], t if t.ndim == 1 else t[i:i + 1])
+                assert np.array_equal(stacked[i], alone[0]), (m.dim, m.n_components, t.ndim, i)
+
+
+def test_softmax_is_accurate_to_a_few_ulps():
+    # exp(a - max a) / sum is good to a few ulps whatever the size of a,
+    # where exp(a - logsumexp(a)) inherits the rounding of logsumexp(a), up
+    # to half an ulp of max |a|.  Each row spans `spread` log-units; its
+    # largest entries lie within 40 of the maximum (some tied with it) at a
+    # random offset of size up to `spread`, and some rows hold a -inf.  The
+    # entries sit on a 2^-20 grid, so a - max a is exact and the reference,
+    # taken in extended precision from the same doubles, measures only the
+    # rounding the formula adds.
+    ld_eps, eps, tiny = np.finfo(np.longdouble).eps, np.finfo(float).eps, np.finfo(float).tiny
+    assert ld_eps < eps / 1024          # the reference is at least 10 bits wider
+    rng = np.random.default_rng(17)
+    for spread, lse_err_floor in ((1.0, 0.0), (1e3, 64.0), (1e5, 4096.0), (2e5, 4096.0)):
+        offset = rng.uniform(-spread, spread, size=(200, 1))
+        gaps = rng.uniform(0.0, 40.0, size=(200, 6))
+        gaps[:, 0] = 0.0
+        gaps[::3, 1] = 0.0                  # ties with the maximum
+        gaps[:, 5] = spread
+        a = np.ldexp(np.round(np.ldexp(offset - gaps, 20)), -20)
+        a[1::4, 2] = -np.inf
+        a = rng.permuted(a, axis=1)
+        w = _softmax(a)
+        e = np.exp(a.astype(np.longdouble) - a.max(axis=1, keepdims=True))
+        ref = e / e.sum(axis=1, keepdims=True)
+        normal = ref >= tiny
+        err = np.abs(w - ref)[normal] / ref[normal]
+        assert err.max() <= 4.0 * eps, (spread, err.max() / eps)
+        assert np.all(w[~normal] < tiny)    # the reference underflows, and so does w
+        assert np.abs(w.sum(axis=1) - 1.0).max() <= 2.0 * eps
+        assert np.all(w[a == -np.inf] == 0.0)
+        via_lse = np.exp(a - logsumexp(a, axis=1, keepdims=True))
+        assert (np.abs(via_lse - ref)[normal] / ref[normal]).max() >= lse_err_floor * eps, spread
+    # a row holding +inf or NaN comes out NaN, which `_damped_newton` drops
+    with np.errstate(invalid="ignore"):
+        w = _softmax(np.array([[np.inf, 0.0, -1.0], [np.nan, 0.0, 1.0], [0.0, np.inf, np.inf], [0.0, 1.0, 2.0]]))
+    assert np.all(np.isnan(w[:3])) and np.all(np.isfinite(w[3]))
 
 
 def test_solve_rows_gives_nan_only_to_singular_rows(monkeypatch):
@@ -661,25 +720,23 @@ def test_antimode_starts_converge_in_their_dominant_chart():
     # the padded witness seed_closure_bound(1, 6, simplex_family) realizes:
     # in the chart of the start's dominant component a start 1e-8 from either
     # antimode converges.  In the chart of the largest weight (component 5,
-    # at 473.4) its |S| is of order 0.01-0.1 against a row tolerance near
-    # 1e-7: from the antimode at 54.4 no rung of the ladder improves it and
-    # it is dropped; from the one at -124.7 the step of one d x d solve
-    # reaches the root, where the step of the k x k solve did not
+    # at 473.4) the iteration from either antimode stalls at its rounding
+    # floor, a few 1e-12 relative from the root, with |S| between 0.8 and
+    # 1.9 times its row tolerance near 1.7e-7; on which side of 1 it stops
+    # is rounding luck, so only the floor is pinned
     solver = _LogSolver(padded_d1k6_mixture())
-    for root, in_chart_5_converges in ((-124.68419998655692, True), (54.36768907309745, False)):
+    for root in (-124.68419998655692, 54.36768907309745):
         x0 = np.array([[root + 1e-8]])
         roots, count = solver.solve_batch(x0)
         assert count == 1
         assert abs(roots[0, 0] - root) <= 1e-12 * abs(root)
         terms, _ = solver.component_terms(x0)
         in_chart_5 = terms - terms[:, 5:]
-        u, converged = solver.iterate(in_chart_5, np.array([5]))
-        assert converged[0] == in_chart_5_converges
-        if in_chart_5_converges:
-            # to the row tolerance 1e-12 (1 + max |u|) near 1.7e-7 of this
-            # chart: 1.3e-10 from the antimode, the next critical point is
-            # tens of units away
-            assert abs(solver.x_batch(u)[0][0, 0] - root) <= 1e-11 * abs(root)
+        charts = np.array([5])
+        u, _ = solver.iterate(in_chart_5, charts)
+        # the next critical point is tens of units away
+        assert abs(solver.x_batch(u)[0][0, 0] - root) <= 1e-11 * abs(root)
+        assert np.linalg.norm(solver.residual_batch(u, charts)[0]) <= 2.0 * solver._row_tols(u)[0]
 
 
 def test_halving_cap_keeps_critical_set(monkeypatch):
@@ -821,9 +878,21 @@ def chord_starts_one_halving_at_a_time(solver, reps, n_old=0):
     return np.concatenate(seeds), len(pair_idx)
 
 
-def test_chord_starts_match_one_halving_at_a_time():
-    # the bisection rounds replay 40 halvings on slopes evaluated at every
-    # dyadic point they can visit, so each seed is bit-identical
+def test_chord_starts_match_one_halving_at_a_time(monkeypatch):
+    # the bisection rounds replay 40 halvings on the signs of slopes
+    # evaluated at every dyadic point they can visit, read once against the
+    # sign of the bracket's left end, so each seed is bit-identical; the
+    # cases hold brackets whose left end has a positive slope and brackets
+    # whose left end has a negative one
+    grids = []
+
+    def spy(top, q, vertex, t):
+        slopes = _chord_slopes(top, q, vertex, t)
+        if t.ndim == 1:                 # the 31-point grid that the brackets come from
+            grids.append(slopes)
+        return slopes
+
+    monkeypatch.setattr("modecount.solver._chord_slopes", spy)
     sweep0 = random_mixture_1d(np.random.default_rng(SWEEP_SEED))
     d1k6 = padded_d1k6_mixture()
     d1k6_roots = np.array([p.location for p in find_critical_points(d1k6).points])
@@ -834,6 +903,7 @@ def test_chord_starts_match_one_halving_at_a_time():
         (d1k6, d1k6_roots, 6, 1),          # only the chords that touch the last 5 roots
         (d1k6, d1k6_roots, 10, 3),         # only the chords to the last root
     ]
+    left_signs = set()
     for m, reps, n_old, per_round in cases:
         if reps is None:
             reps = np.array([p.location for p in find_critical_points(m).points])
@@ -841,6 +911,10 @@ def test_chord_starts_match_one_halving_at_a_time():
         want, n_brackets = chord_starts_one_halving_at_a_time(solver, reps, n_old)
         assert n_brackets > 0 and _halvings_per_round(n_brackets) == per_round
         assert np.array_equal(_chord_starts(solver, reps, n_old), want)
+        vals = grids.pop()
+        pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+        left_signs.update(np.sign(vals[pair_idx, slot]))
+    assert left_signs == {-1.0, 1.0}
     assert _chord_starts(_LogSolver(d1k6), d1k6_roots, len(d1k6_roots)).shape == (0, 1)
 
 
