@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import brentq
 
 from .bounds import SeedRecipe, SeedTriple
 from .mixture import Mixture, logsumexp, tilt
@@ -91,8 +89,10 @@ def simplex_seed(K: int, epsilon: float = DEFAULT_EPSILON) -> tuple[Mixture, int
     for K = 3 and 0.24 for K = 4), the ray modes vanish and only the center
     remains.  Returns (mixture, expected_modes): K+1 when the ray
     criticality equation of `radial_critical_roots`, with n = K-1 and
-    a = K/(1+epsilon), has its two roots, and 1 otherwise.  The expectation
-    is a claim to verify, not a certificate.
+    a = K/(1+epsilon), has its two roots, and 1 otherwise.  The claim only
+    counts the roots, so it reads the number of grid brackets, each of which
+    holds exactly one root, and refines none of them.  The expectation is a
+    claim to verify, not a certificate.
     """
     if K < 3:
         raise ValueError("simplex seeds need K >= 3 components")
@@ -104,42 +104,53 @@ def simplex_seed(K: int, epsilon: float = DEFAULT_EPSILON) -> tuple[Mixture, int
     vertices = simplex_vertices(n)
     weights = np.full(K, 1.0 / K)
     mixture = Mixture.from_arrays(weights, vertices, shared_covariance=tau * np.eye(n))
-    ray_modes = len(radial_critical_roots(n, K / (1.0 + epsilon))) == 2
+    ray_modes = len(_ray_brackets(n, K / (1.0 + epsilon))) == 2
     return mixture, K + 1 if ray_modes else 1
+
+
+def _ray_ell(t: float, n: int, a: float) -> float:
+    """ell_a(t) = log(1-t) + a t - log(1+nt), zero exactly on the ray roots."""
+    return math.log1p(-t) + a * t - math.log1p(n * t)
+
+
+def _ray_brackets(n: int, a: float) -> list[tuple[float, float]]:
+    """Ascending brackets of the roots of ell_a in (0, 1), one root each.
+
+    Scans ell_a on a uniform grid of _RAY_GRID intervals: a grid point where
+    ell_a is exactly zero gives the bracket (t, t), and a sign change between
+    neighbouring grid points gives (t_i, t_{i+1}).
+    """
+    ts = np.linspace(0.0, 1.0, _RAY_GRID + 1)[1:-1]
+    values = np.log1p(-ts) + a * ts - np.log1p(n * ts)
+    # np.log1p and math.log1p may differ in the last ulp; entries that close
+    # to zero take the scalar _ray_ell that brentq refines, so the brackets
+    # and their signs follow it exactly
+    near = np.flatnonzero(np.abs(values) <= 1e-12 * (1.0 + a))
+    values[near] = [_ray_ell(t, n, a) for t in ts[near]]
+    sign_change = np.append(values[:-1] * values[1:] < 0.0, False)
+    return [(float(ts[i]), float(ts[i] if values[i] == 0.0 else ts[i + 1]))
+            for i in np.flatnonzero((values == 0.0) | sign_change)]
 
 
 def radial_critical_roots(n: int, a: float) -> list[float]:
     """Roots in (0, 1) of (1-t)e^{at} = 1+nt, the ray criticality equation.
 
-    Scans ell_a(t) = log(1-t) + a t - log(1+nt) on a uniform grid of
-    _RAY_GRID intervals and refines each sign change with brentq at xtol
-    _RAY_XTOL.  The root t = 0 is excluded by the open interval.
-    Returns an ascending list, possibly empty: the equation has two roots
-    only for a in a window below n+1.
+    Brackets the roots of ell_a(t) = log(1-t) + a t - log(1+nt) on a uniform
+    grid of _RAY_GRID intervals and refines each sign change with
+    scipy.optimize.brentq at xtol _RAY_XTOL; a grid point where ell_a is
+    exactly zero is returned as is.  The root t = 0 is excluded by the open
+    interval.  Returns an ascending list, possibly empty: the equation has
+    two roots only for a in a window below n+1.  scipy is imported here, on
+    the first call, so that importing modecount loads numpy only.
     """
     if n < 2:
         raise ValueError("ray analysis needs n >= 2")
     if a <= 0.0:
         raise ValueError("rate parameter a must be positive")
+    from scipy.optimize import brentq
 
-    def ell(t: float) -> float:
-        return math.log1p(-t) + a * t - math.log1p(n * t)
-
-    ts = np.linspace(0.0, 1.0, _RAY_GRID + 1)[1:-1]
-    values = np.log1p(-ts) + a * ts - np.log1p(n * ts)
-    # np.log1p and math.log1p may differ in the last ulp; entries that close
-    # to zero take the scalar ell that brentq refines, so the brackets and
-    # their signs follow ell exactly
-    near = np.flatnonzero(np.abs(values) <= 1e-12 * (1.0 + a))
-    values[near] = [ell(t) for t in ts[near]]
-    sign_change = np.append(values[:-1] * values[1:] < 0.0, False)
-    roots: list[float] = []
-    for i in np.flatnonzero((values == 0.0) | sign_change):
-        if values[i] == 0.0:
-            roots.append(float(ts[i]))
-        else:
-            roots.append(float(brentq(ell, ts[i], ts[i + 1], xtol=_RAY_XTOL)))
-    return roots
+    return [lo if lo == hi else float(brentq(_ray_ell, lo, hi, args=(n, a), xtol=_RAY_XTOL))
+            for lo, hi in _ray_brackets(n, a)]
 
 
 def lift(mixture: Mixture, target_dim: int) -> Mixture:
@@ -154,7 +165,9 @@ def lift(mixture: Mixture, target_dim: int) -> Mixture:
     if extra <= 0:
         raise ValueError(f"target dimension {target_dim} must exceed the current dimension {d}")
     means = np.hstack([mixture.means, np.zeros((mixture.n_components, extra))])
-    covs = np.array([block_diag(c, np.eye(extra)) for c in mixture.covariances])
+    covs = np.zeros((mixture.n_components, target_dim, target_dim))
+    covs[:, :d, :d] = mixture.covariances
+    covs[:, d:, d:] = np.eye(extra)
     return Mixture.from_arrays(mixture.weights, means, covs)
 
 
@@ -164,15 +177,12 @@ def product(m1: Mixture, m2: Mixture) -> Mixture:
     Weights multiply, means concatenate, covariances stack block-diagonally.
     The modal set is the product of the factors' modal sets.
     """
-    weights = []
-    means = []
-    covs = []
-    for c1 in m1.components:
-        for c2 in m2.components:
-            weights.append(c1.weight * c2.weight)
-            means.append(np.concatenate([c1.mean, c2.mean]))
-            covs.append(block_diag(c1.covariance, c2.covariance))
-    return Mixture.from_arrays(np.array(weights), np.array(means), np.array(covs))
+    k1, k2, d1 = m1.n_components, m2.n_components, m1.dim
+    means = np.hstack([np.repeat(m1.means, k2, axis=0), np.tile(m2.means, (k1, 1))])
+    covs = np.zeros((k1 * k2, d1 + m2.dim, d1 + m2.dim))
+    covs[:, :d1, :d1] = np.repeat(m1.covariances, k2, axis=0)
+    covs[:, d1:, d1:] = np.tile(m2.covariances, (k1, 1, 1))
+    return Mixture.from_arrays(np.outer(m1.weights, m2.weights).ravel(), means, covs)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,14 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 from modecount import (
@@ -92,6 +97,12 @@ def test_simplex_seed_claims_follow_ray_equation():
     for K in (4, 5, 6):
         for eps in (0.1, 0.2):
             assert simplex_seed(K, eps)[1] == K + 1
+    # the claim counts grid brackets without refining them; it must agree
+    # with the refined roots on both sides of the K = 3 fold
+    for K in range(3, 8):
+        for eps in (0.01, 0.05, 0.08, 0.09, 0.1, 0.15, 0.2):
+            two_roots = len(radial_critical_roots(K - 1, K / (1.0 + eps))) == 2
+            assert simplex_seed(K, eps)[1] == (K + 1 if two_roots else 1), (K, eps)
 
 
 # -- ray criticality roots -------------------------------------------------------------
@@ -170,6 +181,15 @@ def test_lift_blocks():
     assert m.is_homoscedastic()
     with pytest.raises(ValueError):
         lift(m, 3)
+    # full, non-diagonal blocks are copied exactly
+    rng = np.random.default_rng(51)
+    raw = rng.standard_normal((2, 2, 2))
+    covs = raw @ raw.transpose(0, 2, 1) + 0.5 * np.eye(2)
+    base = Mixture.from_arrays([0.4, 0.6], rng.standard_normal((2, 2)), covs)
+    m = lift(base, 5)
+    assert np.array_equal(m.means, np.hstack([base.means, np.zeros((2, 3))]))
+    for lifted, c in zip(m.covariances, covs):
+        assert np.array_equal(lifted, block_diag(c, np.eye(3)))
 
 
 def test_product_structure():
@@ -192,6 +212,20 @@ def test_product_structure():
         assert p.log_density(x) == pytest.approx(
             a.log_density(x[:1]) + b.log_density(x[1:]), abs=1e-10
         )
+    # full, non-diagonal blocks: a 2x2 block times a 3x3 block
+    raw2, raw3 = rng.standard_normal((2, 2, 2)), rng.standard_normal((3, 3, 3))
+    c = Mixture.from_arrays([0.2, 0.8], rng.standard_normal((2, 2)),
+                            raw2 @ raw2.transpose(0, 2, 1) + 0.5 * np.eye(2))
+    e = Mixture.from_arrays([0.5, 0.3, 0.2], rng.standard_normal((3, 3)),
+                            raw3 @ raw3.transpose(0, 2, 1) + 0.5 * np.eye(3))
+    p = product(c, e)
+    assert p.dim == 5 and p.n_components == 6
+    for i in range(2):
+        for j in range(3):
+            row = 3 * i + j
+            assert p.weights[row] == pytest.approx(c.weights[i] * e.weights[j], rel=1e-15)
+            assert np.array_equal(p.means[row], np.concatenate([c.means[i], e.means[j]]))
+            assert np.array_equal(p.covariances[row], block_diag(c.covariances[i], e.covariances[j]))
 
 
 def test_product_modes_multiply():
@@ -388,3 +422,22 @@ def test_realize_rejects_mismatched_pad_spec():
     recipe = SeedRecipe(seeds=(SeedTriple(1, 2, 2),), lift_to=1, pad=1, value=3)
     with pytest.raises(ValueError, match="pad count"):
         realize_recipe(recipe, padding=PaddingSpec(count=2))
+
+
+def test_import_and_witness_path_load_no_scipy():
+    # the test process already holds scipy (conftest imports it), so the
+    # check runs in a fresh interpreter
+    script = """
+import sys
+import modecount as mc
+
+pair = mc.Mixture.from_arrays([0.5, 0.5], [[-2.0], [2.0]], shared_covariance=[[1.0]])
+for d in (2, 6):  # (2, 6) pads, (6, 6) lifts
+    mc.realize_recipe(mc.seed_closure_bound(d, 6, mc.simplex_family)[1])
+mc.find_critical_points(mc.lift(mc.product(pair, pair), 3))
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+    src = str(Path(construct.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]", done.stdout[:300]
