@@ -225,7 +225,8 @@ class _LogSolver:
 
     A Newton step costs one d x d solve (see `residual_and_step_batch`), and
     when every component has the same precision A, bit for bit, X(u) needs
-    none: M_w = A, so X = sum_j w_j mu_j.
+    none: M_w = A, so X = sum_j w_j mu_j, and `component_terms` takes every
+    A (X - mu_j) of a row in one (k, d) @ (d, d) product.
 
     The batch is an outer dimension of every einsum/matmul; no 2-D BLAS
     call spans rows.  A stacked `np.matmul` makes one small BLAS call per
@@ -235,7 +236,11 @@ class _LogSolver:
     Newton step, its `relative_derivatives`, and hence its Newton path in
     `iterate` and in `polish`, do not depend on which other rows share its
     batch.  `_damped_newton` relies on that when it carries a row's step
-    from the batch of one evaluation into the next step.
+    from the batch of one evaluation into the next step.  The reductions
+    along a row's short last axis (the softmax's maximum and sum, the chart
+    maximum, the row tolerances and norms) run through `_last_max` and
+    `_last_sum`, which take each output from its own row's entries in
+    sequence.
     """
 
     def __init__(self, mixture: Mixture):
@@ -255,9 +260,19 @@ class _LogSolver:
         return float(np.linalg.eigvalsh(self.precisions).max())
 
     def component_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """L(x) as a (B, k) batch, and A_i (x - mu_i) as (B, k, d), for (B, d) points."""
+        """L(x) as a (B, k) batch, and A_i (x - mu_i) as (B, k, d), for (B, d) points.
+
+        A_i (x - mu_i) takes k (d, d) @ (d, 1) products per row, or, when the
+        precisions are shared, one (k, d) @ (d, d) product (x - mu_i)'A per
+        row, which is A (x - mu_i) because A is symmetric.  For a diagonal A
+        every entry is one exact product either way, so the two agree bit for
+        bit; otherwise they differ in the last bits.
+        """
         diff = x[:, None, :] - self.means[None]
-        atimes = np.matmul(self.precisions, diff[..., None])[..., 0]
+        if self.shared_precision:
+            atimes = np.matmul(diff, self.precisions[0])
+        else:
+            atimes = np.matmul(self.precisions, diff[..., None])[..., 0]
         return self.log_wn - 0.5 * np.einsum("bki,bki->bk", diff, atimes), atimes
 
     def chart_coords(self, x: np.ndarray, tie_margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +282,7 @@ class _LogSolver:
         of max L(x); at the default 0 it is argmax L(x).
         """
         terms, _ = self.component_terms(x)
-        top = terms.max(axis=1, keepdims=True)
+        top = _last_max(terms)[:, None]
         charts = np.argmax(terms >= top - tie_margin * (1.0 + np.abs(top)), axis=1)
         return _centre(terms, charts), charts
 
@@ -338,7 +353,7 @@ class _LogSolver:
         # so the attainable floor grows with the largest log-ratio; a root a
         # few thousand log-units from its chart can never reach an absolute
         # 1e-12.
-        return NEWTON_TOL * (1.0 + np.max(np.abs(u), axis=1))
+        return NEWTON_TOL * (1.0 + _last_max(np.abs(u)))
 
     def solve_batch(self, x0: np.ndarray) -> tuple[np.ndarray, int]:
         """Damped Newton from each seed point in its dominant chart; returns (roots, count)."""
@@ -490,13 +505,33 @@ def _softmax(a: np.ndarray) -> np.ndarray:
     (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).  A -inf
     entry gets weight 0, and a row holding +inf or NaN comes out NaN.
     """
-    e = np.exp(a - a.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(a - _last_max(a)[..., None])
+    return e / _last_sum(e)[..., None]
+
+
+def _last_max(a: np.ndarray) -> np.ndarray:
+    """`a.max(axis=-1)`, reduced on a Fortran-ordered copy of a (see `_last_sum`)."""
+    return np.asfortranarray(a).max(axis=-1)
+
+
+def _last_sum(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=-1)`, reduced on a Fortran-ordered copy of a.
+
+    numpy reduces a short contiguous last axis one row at a time, which
+    costs far more than the arithmetic on the solver's (B, k) and (B, k, d)
+    batches.  In the copy the reduced axis is the outermost, so numpy takes
+    it as k - 1 elementwise passes over whole arrays.  Each output is still
+    the sequential sum (or maximum) of its own row's entries, so a row's
+    bits do not depend on its batch, and for a last axis of 1 to 7 entries
+    they are the bits of `a.sum(axis=-1)`, which sums that few entries
+    sequentially as well (from 8 entries on it sums them pairwise).
+    """
+    return np.asfortranarray(a).sum(axis=-1)
 
 
 def _row_norms(s: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, by the reduction `np.linalg.norm(s, axis=-1)` runs."""
-    return np.sqrt(np.add.reduce(s * s, axis=-1))
+    """Euclidean norms along the last axis: the bits of `np.linalg.norm(s, axis=-1)` for up to 7 entries."""
+    return np.sqrt(_last_sum(s * s))
 
 
 def _weighted_gram(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -566,7 +601,7 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     first, second = first[new], second[new]
     origins = reps[first]
     chords = reps[second] - origins
-    keep = np.linalg.norm(chords, axis=1) > 0.0
+    keep = _row_norms(chords) > 0.0
     origins, chords = origins[keep], chords[keep]
     top, q, vertex = _restrict_to_chords(solver, origins, chords)
 
@@ -865,7 +900,7 @@ def _classify(solver: _LogSolver, xs: np.ndarray, config: SolverConfig) -> list[
     log_y, charts = solver.chart_coords(xs, tie_margin=1e-12)
     images, _, _ = solver.x_batch(log_y)
     s = _centre(log_y - solver.component_terms(images)[0], charts)
-    reduced_residuals = np.linalg.norm(-np.exp(log_y) * np.expm1(-s), axis=1)
+    reduced_residuals = _row_norms(-np.exp(log_y) * np.expm1(-s))
     reference = _reference(solver.mixture) if solver.mixture.n_components >= 2 else None
     points = []
     for i, x in enumerate(xs):
@@ -942,7 +977,7 @@ def _cluster(
 
     def claim(r: np.ndarray, label: int) -> None:
         later = np.flatnonzero(free)
-        hits = later[np.linalg.norm(ordered[later] - r, axis=1) <= tol * (1.0 + np.linalg.norm(r))]
+        hits = later[_row_norms(ordered[later] - r) <= tol * (1.0 + np.linalg.norm(r))]
         labels[order[hits]] = label
         free[hits] = False
 

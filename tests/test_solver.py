@@ -31,8 +31,8 @@ from modecount import solver as solver_module
 from modecount.construct import REALIZE_EPSILON, radial_critical_roots, simplex_seed, tilt_polish
 from modecount.mixture import affine_rank, logsumexp, reduce_homoscedastic
 from modecount.solver import (
-    _chord_slopes, _chord_starts, _cluster, _dedup_points, _halvings_per_round, _LogSolver, _restrict_to_chords,
-    _softmax,
+    _chord_slopes, _chord_starts, _cluster, _dedup_points, _halvings_per_round, _last_max, _last_sum, _LogSolver,
+    _restrict_to_chords, _softmax,
 )
 
 from conftest import random_mixture_1d, random_spd
@@ -224,7 +224,7 @@ def batch_outputs(solver, u, charts, x):
     return (solver.residual_batch(u, charts), s, step, *solver.relative_derivatives(x), solver.polish(x))
 
 
-def test_residual_rows_do_not_depend_on_batch():
+def test_residual_rows_do_not_depend_on_batch(simplex_d5k6):
     # The batch is an outer dimension of every einsum/matmul; no 2-D BLAS
     # call spans rows.  A stacked matmul makes one BLAS call per row with the
     # same shape and strides whatever the batch, so a row's bits cannot
@@ -232,15 +232,17 @@ def test_residual_rows_do_not_depend_on_batch():
     # batch being a strided slice; folding rows into one 2-D matmul would
     # round them differently, and chunked and stacked solves would drift
     # apart.  Rows in different charts share the batch, with distinct
-    # precisions, with one shared precision (X without a solve), and in 1-d.
+    # precisions, with one shared precision (X without a solve), full or
+    # diagonal, and in 1-d.
     solver = het_d6k5_solver()
     shared = _LogSolver(random_mixture(np.random.default_rng(50), 6, 5, homoscedastic=True))
+    simplex = _LogSolver(simplex_d5k6[0])
     sweep = _LogSolver(random_mixture_1d(np.random.default_rng(51)))
     sweep_pair = _LogSolver(pair_mixture_1d())
-    assert not solver.shared_precision and shared.shared_precision
+    assert not solver.shared_precision and shared.shared_precision and simplex.shared_precision
     assert not sweep.shared_precision and sweep_pair.shared_precision
     rng = np.random.default_rng(42)
-    for each in (solver, shared, sweep, sweep_pair):
+    for each in (solver, shared, simplex, sweep, sweep_pair):
         m = each.mixture
         u = rng.uniform(-6.0, 6.0, size=(200, m.n_components))
         charts = rng.integers(0, m.n_components, size=200)
@@ -325,6 +327,46 @@ def test_softmax_is_accurate_to_a_few_ulps():
     with np.errstate(invalid="ignore"):
         w = _softmax(np.array([[np.inf, 0.0, -1.0], [np.nan, 0.0, 1.0], [0.0, np.inf, np.inf], [0.0, 1.0, 2.0]]))
     assert np.all(np.isnan(w[:3])) and np.all(np.isfinite(w[3]))
+
+
+def test_last_axis_reductions_match_numpy():
+    # `_last_max` and `_last_sum` reduce a Fortran-ordered copy, one
+    # elementwise pass per entry of the last axis.  numpy also takes a last
+    # axis of 1-7 entries in sequence, so the bits agree, infinities, NaNs
+    # and signed zeros included, on contiguous arrays and strided slices.
+    rng = np.random.default_rng(19)
+    specials = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
+
+    def same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+                and np.array_equal(np.signbit(got), np.signbit(want)))
+
+    for k in range(1, 8):
+        for shape in ((2 * k,), (400, 2 * k), (30, 11, 2 * k)):
+            big = rng.standard_normal(shape) * np.exp(rng.uniform(-40.0, 40.0, shape))
+            flat = big.reshape(-1)
+            at = rng.choice(flat.size, flat.size // 8, replace=False)
+            flat[at] = rng.choice(specials, len(at))
+            if big.ndim > 1:
+                big[0] = -0.0                   # all-negative-zero rows sum to -0.0
+            views = [np.ascontiguousarray(big[..., :k]), big[..., ::2], big[..., k:]]
+            if big.ndim > 1:
+                views += [big[::3, ..., :k], np.ascontiguousarray(big[..., :k])[::2]]
+            for a in views:
+                assert a.shape[-1] == k
+                with np.errstate(invalid="ignore"):
+                    assert same_bits(_last_max(a), a.max(axis=-1)), (k, a.shape, a.strides)
+                    assert same_bits(_last_sum(a), a.sum(axis=-1)), (k, a.shape, a.strides)
+    # each (T, k) block and each k-vector of an (n, T, k) softmax batch is
+    # the bits it gets alone
+    a = rng.uniform(-50.0, 50.0, size=(40, 9, 6))
+    a[::5, :, 2] = -np.inf
+    w = _softmax(a)
+    for i in range(len(a)):
+        assert np.array_equal(w[i], _softmax(a[i:i + 1])[0]) and np.array_equal(w[i], _softmax(a[i]))
+        for t in range(a.shape[1]):
+            assert np.array_equal(w[i, t], _softmax(a[i, t])), (i, t)
 
 
 def test_solve_rows_gives_nan_only_to_singular_rows(monkeypatch):
@@ -437,6 +479,40 @@ def test_shared_precision_path_matches_generic_solve(monkeypatch):
     solver.x_batch(rng.standard_normal((5, 3)))
     assert calls == [5]
     assert _LogSolver(Mixture.from_arrays([0.3, 0.3, 0.4], m.means, [cov, cov, cov])).shared_precision
+
+
+def test_shared_precision_product_matches_per_component_products(simplex_d5k6):
+    # `component_terms` takes a shared precision's A(x - mu_i) as one
+    # (k, d) @ (d, d) product (x - mu_i)'A per row.  For a diagonal A each
+    # entry is one exact product either way, so it keeps the bits of the
+    # per-component products; for a full A it agrees with them to rounding
+    # of |x - mu_i|'|A|.
+    rng = np.random.default_rng(53)
+
+    def terms_oracle(solver, x):
+        diff = x[:, None, :] - solver.means[None]
+        atimes = np.matmul(solver.precisions, diff[..., None])[..., 0]
+        return solver.log_wn - 0.5 * np.einsum("bki,bki->bk", diff, atimes), atimes, diff
+
+    padded = padded_d1k6_mixture()
+    for m, report in (simplex_d5k6, (padded, find_critical_points(padded))):
+        solver = _LogSolver(m)
+        a = solver.precisions[0]
+        assert solver.shared_precision and np.array_equal(a, np.diag(np.diag(a)))
+        roots = np.array([p.location for p in report.points])
+        lo, hi = m.means.min(axis=0), m.means.max(axis=0)
+        x = np.concatenate([roots, m.means, rng.uniform(lo - 3.0, hi + 3.0, size=(300, m.dim))])
+        terms, atimes = solver.component_terms(x)
+        terms_ref, atimes_ref, _ = terms_oracle(solver, x)
+        assert np.array_equal(atimes, atimes_ref) and np.array_equal(terms, terms_ref), m.dim
+    shared = _LogSolver(random_mixture(np.random.default_rng(50), 6, 5, homoscedastic=True))
+    a = shared.precisions[0]
+    assert shared.shared_precision and np.count_nonzero(a - np.diag(np.diag(a)))
+    x = rng.uniform(-4.0, 4.0, size=(2000, 6))
+    _, atimes = shared.component_terms(x)
+    _, atimes_ref, diff = terms_oracle(shared, x)
+    scale = np.matmul(np.abs(diff), np.abs(a))
+    assert np.all(np.abs(atimes - atimes_ref) <= 4.0 * np.finfo(float).eps * scale)
 
 
 def polish_one_point(mixture, x):
