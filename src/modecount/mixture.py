@@ -51,25 +51,54 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     Evaluated as a_max + log(n) + log1p(sum_{a_i < a_max} exp(a_i - a_max) / n),
     with n the number of entries equal to the maximum a_max (Blanchard,
     Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).  The operations and
-    their order are those of `scipy.special.logsumexp`, so the two agree bit
-    for bit, without the per-call cost of scipy's array-API dispatch.
-    Results that come out non-finite are taken from log(sum(exp(a))), as
-    scipy does.  A full reduction without `keepdims` returns a scalar.
+    their order are those of `scipy.special.logsumexp`, without the per-call
+    cost of scipy's array-API dispatch.  The reduced axis is swapped last and
+    reduced by `_last_max` and `_last_sum`, so the two agree bit for bit
+    unless the reduced axis is the last of two or more and has 8 or more
+    entries (see `_last_sum`).  Results that come out non-finite are taken
+    from log(sum(exp(a))), as scipy does.  A full reduction without
+    `keepdims` returns a scalar.
     """
     a = np.asarray(a, dtype=float)
+    r = a.reshape(-1) if axis is None else np.asfortranarray(a.swapaxes(axis, -1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=axis, keepdims=True)
-        top = a == a_max
-        n_top = top.sum(axis=axis, keepdims=True, dtype=float)
-        rest = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        a_max = _last_max(r)[..., None]
+        top = r == a_max
+        n_top = _last_sum(top.astype(float))[..., None]
+        rest = _last_sum(np.exp(np.where(top, -np.inf, r) - a_max))[..., None]
         out = np.log1p(rest / n_top) + np.log(n_top) + a_max
         finite = np.isfinite(out)
         if not finite.all():
-            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+            direct = np.log(_last_sum(np.exp(r))[..., None])
             out = np.where(finite, out, direct)
-    if not keepdims:
-        out = out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
+    if axis is None:
+        out = out.reshape((1,) * a.ndim if keepdims else ())
+    else:
+        out = out.swapaxes(axis, -1)
+        if not keepdims:
+            out = out.squeeze(axis=axis)
     return out[()] if out.ndim == 0 else out
+
+
+def _last_max(a: np.ndarray) -> np.ndarray:
+    """`a.max(axis=-1)`, reduced on a Fortran-ordered copy of a (see `_last_sum`)."""
+    return np.asfortranarray(a).max(axis=-1)
+
+
+def _last_sum(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=-1)`, reduced on a Fortran-ordered copy of a.
+
+    numpy reduces a short contiguous last axis one row at a time, which
+    costs far more than the arithmetic on (B, k) and (B, k, d) batches.  In
+    the copy the reduced axis is the outermost, so numpy takes it as k - 1
+    elementwise passes over whole arrays.  Each output is still the
+    sequential sum (or maximum) of its own row's entries, so a row's bits do
+    not depend on its batch, and for a last axis of 1 to 7 entries they are
+    the bits of `a.sum(axis=-1)`, which sums that few entries sequentially
+    as well (from 8 entries on it sums them pairwise).  An array already in
+    Fortran order, or of one dimension, is reduced without a copy.
+    """
+    return np.asfortranarray(a).sum(axis=-1)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ reference.  This module builds that system for one reference
 iteration in log-coordinates that runs each start in the chart of its own
 dominant component, polishes the roots with the same damped Newton loop in
 x, classifies them by Hessian inertia, and assembles a report with Morse
-and upper-bound verdicts.
+and upper-bound verdicts.  Where the problem is one-dimensional (d = 1, or
+k = 2 in any d) the starts are the roots of an exact scalar function found
+by a grid scan; otherwise they are the means, their midpoints and the
+chords between the roots found so far.
 
 `_LogSolver` is the one Newton engine and derivative evaluator.  Past the
 log-ratio solve it works with density-relative quantities (log-density,
@@ -21,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import BoundValue, mode_bound_from_critical, upper_bound
-from .mixture import Mixture, affine_rank, logsumexp, reduce_homoscedastic
+from .mixture import Mixture, _last_max, _last_sum, affine_rank, logsumexp, reduce_homoscedastic
 
 __all__ = [
     "ReducedSystem",
@@ -55,8 +58,10 @@ class SolverConfig:
     is below 1e-9; `force` lifts the size limits MAX_DIM and MAX_COMPONENTS.
     The Newton solve and the polish of the roots run one damped Newton loop
     (`_damped_newton`) with module constants (NEWTON_TOL, NEWTON_MAX_ITER,
-    MAX_HALVINGS and _POLISH_*), and the starts (component means, mean
-    midpoints and chord starts) are fixed by `find_critical_points`.
+    MAX_HALVINGS and _POLISH_*), and `find_critical_points` fixes the
+    starts: the roots of a scanned scalar function for d = 1 or k = 2
+    (grids `_SEGMENT_GRID` and `_RIDGE_POINTS`), otherwise the component
+    means, the mean midpoints and the chord starts of the restart rounds.
     """
 
     dedup_tol: float = 1e-6
@@ -418,6 +423,12 @@ _POLISH_GRAD_TOL, _POLISH_STEPS, _POLISH_RUNGS = 1e-15, 8, 20
 # this many coordinate differences (512 kB), so that they add nothing to
 # the peak memory of a solve
 _CLUSTER_BLOCK = 2 ** 16
+# The scan grids of the scalar route: `_segment_starts` scans a 1-d mixture
+# at each mean plus its standard deviation times these 401 offsets (out to
+# 8.1e4), and `_ridgeline_starts` scans a two-component mixture's ridgeline
+# function at this many points
+_SEGMENT_GRID = np.sinh(np.linspace(-12.0, 12.0, 401))
+_RIDGE_POINTS = 2001
 
 
 def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int):
@@ -509,26 +520,6 @@ def _softmax(a: np.ndarray) -> np.ndarray:
     return e / _last_sum(e)[..., None]
 
 
-def _last_max(a: np.ndarray) -> np.ndarray:
-    """`a.max(axis=-1)`, reduced on a Fortran-ordered copy of a (see `_last_sum`)."""
-    return np.asfortranarray(a).max(axis=-1)
-
-
-def _last_sum(a: np.ndarray) -> np.ndarray:
-    """`a.sum(axis=-1)`, reduced on a Fortran-ordered copy of a.
-
-    numpy reduces a short contiguous last axis one row at a time, which
-    costs far more than the arithmetic on the solver's (B, k) and (B, k, d)
-    batches.  In the copy the reduced axis is the outermost, so numpy takes
-    it as k - 1 elementwise passes over whole arrays.  Each output is still
-    the sequential sum (or maximum) of its own row's entries, so a row's
-    bits do not depend on its batch, and for a last axis of 1 to 7 entries
-    they are the bits of `a.sum(axis=-1)`, which sums that few entries
-    sequentially as well (from 8 entries on it sums them pairwise).
-    """
-    return np.asfortranarray(a).sum(axis=-1)
-
-
 def _row_norms(s: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis: the bits of `np.linalg.norm(s, axis=-1)` for up to 7 entries."""
     return np.sqrt(_last_sum(s * s))
@@ -575,26 +566,18 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     chord the directional slope of log-density also vanishes at every
     critical point the chord passes by, and those roots can have Newton
     basins far narrower than the quarter points reach (a remote component
-    shrinks interior basins drastically), so every interior sign change of
-    the slope on a 31-point grid is sharpened by 40 bisection halvings and
-    returned as a seed too.
+    shrinks interior basins drastically), so every root of the slope that
+    `_scan_roots` finds on a 31-point grid is returned as a seed too.
 
     The slope is taken from the mixture restricted to the chord, which is
     exactly a 1-d mixture in t: x(t) = a + t c is affine in t and each
     component term L_i is quadratic in x, so L_i(x(t)) is a concave
     quadratic in t with no remainder (see `_restrict_to_chords`).  Each chord
     is restricted once, and a slope then costs O(k) per point instead of the
-    O(k d^2) of a d-dimensional gradient.
-
-    The halvings run in rounds of m (see `_halvings_per_round`): one slope
-    call evaluates each bracket at all 2^m - 1 dyadic points that its next m
-    halvings can visit, and the halvings are then replayed on those values.
-    Every t is a dyadic rational with denominator at most 2^45, exact in
-    floating point, so the seeds are bit-identical to one halving per call.
-    The left end of a bracket keeps the sign it starts with, since it moves
-    only to a midpoint whose slope has the same sign (a zero slope counts
-    as negative), so a round reads each slope's sign against that of the
-    bracket's first left end once, and the replay moves on those booleans.
+    O(k d^2) of a d-dimensional gradient.  The grid's t are multiples of
+    1/32, so every t the bisection visits is a dyadic rational with
+    denominator at most 2^45, exact in floating point, and the seeds are
+    bit-identical to one halving per slope call.
     """
     first, second = np.triu_indices(len(reps), 1)
     new = second >= n_old
@@ -603,35 +586,131 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     chords = reps[second] - origins
     keep = _row_norms(chords) > 0.0
     origins, chords = origins[keep], chords[keep]
-    top, q, vertex = _restrict_to_chords(solver, origins, chords)
-
     ts = np.linspace(0.0, 1.0, 33)[1:-1]        # slots 7, 15, 23 are t = 1/4, 1/2, 3/4
-    vals = _chord_slopes(top, q, vertex, ts)
-    chord, slot = np.nonzero(vals == 0.0)
-    seeds = [
-        (origins[:, None, :] + ts[[7, 15, 23], None] * chords[:, None, :]).reshape(-1, reps.shape[1]),
-        origins[chord] + ts[slot, None] * chords[chord],
-    ]
+    line, t = _scan_roots(_slope_functions(*_restrict_to_chords(solver, origins, chords)), ts, len(origins))
+    quarters = origins[:, None, :] + ts[[7, 15, 23], None] * chords[:, None, :]
+    return np.concatenate([quarters.reshape(-1, reps.shape[1]), origins[line] + t[:, None] * chords[line]])
+
+
+def _scan_roots(functions, grid: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The roots that a grid shows of n scalar functions, as (function index, parameter) arrays.
+
+    `functions(rows)` returns the functions `rows` as one callable of t,
+    which takes t of shape (T,), shared by the rows, or (len(rows), T), and
+    returns their values as a (len(rows), T) array.  An exact zero on the
+    ascending grid is a root, and so is every sign change between
+    neighbouring grid points, sharpened by 40 bisection halvings to the
+    midpoint of its last bracket.  The zeros come first, then the brackets,
+    each in (function, grid slot) order.
+
+    The halvings run in rounds of m (see `_halvings_per_round`): one call
+    evaluates each bracket at all 2^m - 1 points that its next m halvings
+    can visit, and the halvings are then replayed on those values.  The
+    left end of a bracket keeps the sign it starts with, since it moves only
+    to a midpoint whose value has the same sign (a zero counts as
+    negative), so a round reads each value's sign against that of the
+    bracket's first left end once, and the replay moves on those booleans.
+    """
+    vals = functions(np.arange(n))(grid)
+    zero_rows, slot = np.nonzero(vals == 0.0)
+    found = [(zero_rows, grid[slot])]
     pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
     if len(pair_idx):
-        t_lo, width = ts[slot], ts[slot + 1] - ts[slot]
+        t_lo, width = grid[slot], grid[slot + 1] - grid[slot]
         lo_positive = vals[pair_idx, slot] > 0.0
-        top, q, vertex = top[pair_idx], q[pair_idx], vertex[pair_idx]
-        rows = np.arange(len(pair_idx))
+        evaluate = functions(pair_idx)
         per_round, left = _halvings_per_round(len(pair_idx)), 40
         while left:
             m = min(per_round, left)
-            # the 2^m - 1 dyadic points that the next m halvings can visit
+            # the 2^m - 1 points that the next m halvings can visit
             ts_round = t_lo[:, None] + np.ldexp(np.arange(1, 2 ** m), -m)[None, :] * width[:, None]
-            same = (_chord_slopes(top, q, vertex, ts_round) > 0.0) == lo_positive[:, None]
-            lo = np.zeros(len(pair_idx), dtype=int)     # bracket [lo, lo + span] in units of 2^-m
-            for span in 2 ** np.arange(m - 1, -1, -1):
-                lo += span * same[rows, lo + span - 1]
-            t_lo = t_lo + np.ldexp(lo.astype(float), -m) * width
+            same = ((evaluate(ts_round) > 0.0) == lo_positive[:, None]).ravel()
+            # bracket [lo, lo + span] in units of 2^-m, kept as the flat index
+            # at + lo, so that its point lo + span - 1 is same[at + lo + span]
+            at = np.arange(len(pair_idx)) * (2 ** m - 1) - 1
+            lo = at.copy()
+            for span in (1 << j for j in range(m - 1, -1, -1)):
+                lo += span * same[lo + span]
+            t_lo = t_lo + np.ldexp((lo - at).astype(float), -m) * width
             width = np.ldexp(width, -m)
             left -= m
-        seeds.append(origins[pair_idx] + (t_lo + 0.5 * width)[:, None] * chords[pair_idx])
-    return np.concatenate(seeds)
+        found.append((pair_idx, t_lo + 0.5 * width))
+    return np.concatenate([r for r, _ in found]), np.concatenate([t for _, t in found])
+
+
+def _segment_starts(solver: _LogSolver) -> np.ndarray:
+    """Every critical point of a 1-d mixture, to scan precision, as (n, 1) Newton starts.
+
+    Each critical point is a precision-weighted average of the means, so
+    they all lie on the segment [min mu, max mu], and they are the roots of
+    the log-density slope there: `_chord_slopes` on that one chord.  The
+    scan grid puts `_SEGMENT_GRID` around each mean, in units of its
+    standard deviation, clipped to the segment, with both ends: it is dense
+    near every component, however narrow, and reaches the far ends of
+    segments that span thousands of standard deviations.  When the means
+    coincide, that mean is the only critical point.
+    """
+    means = solver.means[:, 0]
+    lo, hi = means.min(), means.max()
+    if lo == hi:
+        return solver.means[:1].copy()
+    origin, chord = np.array([[lo]]), np.array([[hi - lo]])
+    sigmas = 1.0 / np.sqrt(solver.precisions[:, 0, 0])
+    near = ((means[:, None] + sigmas[:, None] * _SEGMENT_GRID) - lo) / (hi - lo)
+    grid = np.unique(np.concatenate([[0.0, 1.0], np.clip(near.ravel(), 0.0, 1.0)]))
+    _, t = _scan_roots(_slope_functions(*_restrict_to_chords(solver, origin, chord)), grid, 1)
+    return lo + t[:, None] * chord[0]
+
+
+def _ridgeline_starts(solver: _LogSolver) -> np.ndarray:
+    """Every critical point of a two-component mixture, to scan precision, as (n, d) Newton starts.
+
+    The critical points are x*(s) at the roots of the ridgeline function
+    g(s) = L_0(x*(s)) - L_1(x*(s)) - s, where x*(s) solves
+    w_0 A_0 (x - mu_0) + w_1 A_1 (x - mu_1) = 0 with log(w_0 / w_1) = s
+    (Ray & Lindsay, Ann. Statist. 33, 2005).  With A_0 = L L' and the
+    eigenvectors V and eigenvalues lambda of L^-1 A_1 L^-T, the coordinates
+    y = V'L'(x - mu_0) diagonalize both precisions, mu_1 sits at delta, and
+    y_l(s) = p_l delta_l with p_l = lambda_l / (e^s + lambda_l); taken
+    through r = e^-|s| (`_ridgeline_shares`), x*(s) costs O(d) and nothing
+    overflows.  Since each y_l lies between 0 and delta_l, every root has
+    |s| <= S = |L_0 - L_1 constants| + sum_l (1 + lambda_l) delta_l^2 / 2,
+    and g is scanned on s = sinh(linspace(-a, a, _RIDGE_POINTS)) with
+    a = asinh(S + 1): g is at least 1 at -S - 1 and at most -1 at S + 1, so a
+    root at |s| = S (the means coincide) still shows as a sign change.
+    """
+    (a0, a1), (mu0, mu1) = solver.precisions, solver.means
+    chol = np.linalg.cholesky(a0)
+    half = np.linalg.solve(chol, a1)
+    lam, vecs = np.linalg.eigh(np.linalg.solve(chol, half.T))
+    back = np.linalg.solve(chol.T, vecs)         # x = mu_0 + back @ y
+    delta = vecs.T @ (chol.T @ (mu1 - mu0))
+    gap = solver.log_wn[0] - solver.log_wn[1]
+    reach = math.asinh(1.0 + abs(gap) + 0.5 * float(np.sum((1.0 + lam) * delta ** 2)))
+
+    def ridge(s):
+        s = np.atleast_2d(s)                    # (T,) for the grid, (brackets, T) after
+        near, far = _ridgeline_shares(lam, s)
+        return gap - 0.5 * np.sum(delta ** 2 * (near ** 2 - lam * far ** 2), axis=-1) - s
+
+    grid = np.unique(np.sinh(np.linspace(-reach, reach, _RIDGE_POINTS)))
+    _, s = _scan_roots(lambda rows: ridge, grid, 1)
+    return mu0 + (_ridgeline_shares(lam, s)[0] * delta) @ back.T
+
+
+def _ridgeline_shares(lam: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = lambda / (e^s + lambda) and 1 - p for every s and eigenvalue, as s.shape + (d,) arrays.
+
+    Taken as r lambda / (1 + r lambda) and 1 / (1 + r lambda) for s >= 0,
+    and lambda / (r + lambda) and r / (r + lambda) for s < 0, with
+    r = e^-|s| in (0, 1].
+    """
+    s = np.asarray(s)[..., None]
+    r = np.exp(-np.abs(s))
+    scaled = r * lam
+    positive = s >= 0.0
+    denom = np.where(positive, 1.0 + scaled, r + lam)
+    return np.where(positive, scaled, lam) / denom, np.where(positive, 1.0, r) / denom
 
 
 def _restrict_to_chords(
@@ -669,12 +748,17 @@ def _chord_slopes(top: np.ndarray, q: np.ndarray, vertex: np.ndarray, t: np.ndar
     return -np.einsum("ntk,ntk->nt", _softmax(terms), slopes)
 
 
+def _slope_functions(top: np.ndarray, q: np.ndarray, vertex: np.ndarray):
+    """The slopes of lines restricted by `_restrict_to_chords`, as the `functions` of `_scan_roots`."""
+    return lambda rows: partial(_chord_slopes, top[rows], q[rows], vertex[rows])
+
+
 def _halvings_per_round(n_brackets: int) -> int:
-    """Bisection halvings per slope call in `_chord_starts`, from 1 to 5.
+    """Bisection halvings per call in `_scan_roots`, from 1 to 5.
 
     A round of m halvings evaluates 2^m - 1 points per bracket, each an O(k)
-    slope of the restricted 1-d mixture; m is the largest that keeps a call
-    at 256 rows or fewer.  Few brackets (a 1-d solve has one or two) take 5
+    slope of a restricted 1-d mixture or an O(d) ridgeline value; m is the
+    largest that keeps a call at 256 rows or fewer.  Few brackets take 5
     halvings per call, so the per-call cost is paid 8 times instead of 40;
     thousands of brackets take one, where more would evaluate points the
     bisection never uses.
@@ -1033,26 +1117,33 @@ def _dedup_points(candidates: np.ndarray, solver: _LogSolver, config: SolverConf
 def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -> SolveReport:
     """Locate and classify the critical points of a mixture density.
 
-    Multistart damped Newton on the log-ratio system, each start in the
-    chart of its dominant component (see `_LogSolver`), run in rounds.
-    Round 0 starts at the component means and the pairwise mean midpoints;
-    each later round reseeds on the chords between the roots found so far
-    (see `_chord_starts`).  Converged roots are sharpened by Newton steps on
-    the relative gradient, deduplicated, and classified.  There is no
-    completeness certificate; the report carries start/drop diagnostics
-    instead.
+    Damped Newton on the log-ratio system, each start in the chart of its
+    dominant component (see `_LogSolver`).  Converged roots are clustered,
+    sharpened by Newton steps on the relative gradient, deduplicated, and
+    classified.  `n_starts` and `n_converged` count the starts that ran.
 
-    Every round keeps the representatives found before it fixed: a new root
-    joins the first representative within `dedup_tol` of it (see
-    `_cluster`), and only the roots that join none become new
-    representatives, appended after the old ones.  The rounds stop when one
-    adds no representative, or after six rounds.  A round seeds only
-    the chords with at least one endpoint that the round before it added.
-    That skip is exact: a chord between two older representatives was
-    seeded one round earlier from the same points, each start's Newton path
-    does not depend on its batch, so its starts would return the same roots,
-    and those already joined a representative.  `n_starts` and
-    `n_converged` count the starts that ran.
+    Where the problem is one-dimensional, the starts are the roots of an
+    exact scalar function, found by one grid scan, and Newton runs once from
+    them: for d = 1 the log-density slope on [min mu, max mu]
+    (`_segment_starts`), and for k = 2 in any d the ridgeline function
+    (`_ridgeline_starts`).  A root the scan misses (two roots closer than
+    the grid spacing) is not recovered.
+
+    Otherwise (d >= 2 and k >= 3) the starts run in rounds.  Round 0 starts
+    at the component means and the pairwise mean midpoints; each later
+    round reseeds on the chords between the roots found so far (see
+    `_chord_starts`).  There is no completeness certificate; the report
+    carries start/drop diagnostics instead.  Every round keeps the
+    representatives found before it fixed: a new root joins the first
+    representative within `dedup_tol` of it (see `_cluster`), and only the
+    roots that join none become new representatives, appended after the old
+    ones.  The rounds stop when one adds no representative, or after six
+    rounds.  A round seeds only the chords with at least one endpoint that
+    the round before it added.  That skip is exact: a chord between two
+    older representatives was seeded one round earlier from the same
+    points, each start's Newton path does not depend on its batch, so its
+    starts would return the same roots, and those already joined a
+    representative.
     """
     config = config or SolverConfig()
     d, k = mixture.dim, mixture.n_components
@@ -1067,18 +1158,22 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
         )
 
     solver = _LogSolver(mixture)
-    first, second = np.triu_indices(k, 1)
-    starts = np.concatenate([mixture.means, 0.5 * (mixture.means[first] + mixture.means[second])])
+    if d == 1 or k == 2:
+        starts, rounds = _segment_starts(solver) if d == 1 else _ridgeline_starts(solver), 1
+    else:
+        first, second = np.triu_indices(k, 1)
+        midpoints = 0.5 * (mixture.means[first] + mixture.means[second])
+        starts, rounds = np.concatenate([mixture.means, midpoints]), 6
     reps = np.empty((0, d))
     n_starts = n_converged = 0
     # Critical points the means and midpoints miss (such as tiny-responsibility
     # saddles between far-apart modes) sit on chords between found points, so
     # every later round reseeds there.
-    for _ in range(6):
+    for round_ in range(rounds):
         roots, converged = solver.solve_batch(starts)
         n_starts, n_converged = n_starts + len(starts), n_converged + converged
         reps, n_old = _cluster(roots, config.dedup_tol, prior=reps)[0], len(reps)
-        if len(reps) == n_old:
+        if len(reps) == n_old or round_ == rounds - 1:
             break
         starts = _chord_starts(solver, reps, n_old)
         if not len(starts):

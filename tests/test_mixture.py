@@ -141,6 +141,23 @@ def test_logsumexp_matches_scipy_bitwise():
         assert same(logsumexp(np.array(edge)), scipy_logsumexp(np.array(edge))), edge
 
 
+def test_logsumexp_axes_and_keepdims_match_scipy():
+    # every axis is swapped last and reduced in Fortran order; with at most
+    # 7 entries along it, shapes and bits are scipy's on every axis, and the
+    # full reduction of 60 entries sums pairwise as scipy does
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    from modecount.mixture import logsumexp
+
+    a = np.random.default_rng(18).standard_normal((3, 4, 5)) * 50.0
+    a[1, 2] = a[1, 2].max()                         # ties at a row's maximum
+    for axis in (None, 0, 1, 2, -1, -2):
+        for keepdims in (False, True):
+            got, want = logsumexp(a, axis=axis, keepdims=keepdims), scipy_logsumexp(a, axis=axis, keepdims=keepdims)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want), (axis, keepdims)
+
+
 def test_responsibilities_sum_to_one():
     rng = np.random.default_rng(14)
     m = random_mixture(rng, 2, 4)

@@ -3,9 +3,11 @@
 import dataclasses
 import inspect
 import json
+import time
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from modecount import (
@@ -35,7 +37,7 @@ from modecount.solver import (
     _restrict_to_chords, _softmax,
 )
 
-from conftest import random_mixture_1d, random_spd
+from conftest import oracle_critical_points_1d, random_mixture_1d, random_spd
 from test_acceptance import SWEEP_SEED
 
 # positive root of x = 2 tanh(2x), the mode of the unit-variance pair at +-2
@@ -896,6 +898,131 @@ def test_start_sources_keep_critical_set():
     # 225 starts with the mean-shift chains and the segments to the means
     report = find_critical_points(random_mixture(np.random.default_rng(47), 6, 6))
     assert report.n_starts <= 225 // 2
+
+
+# -- the scalar route: d = 1, and k = 2 in any d ------------------------------------
+
+
+def test_fold_pair_is_one_degenerate_point():
+    # the unit-variance pair at +-1 sits on its fold, where the slope goes
+    # like x^3: the chord rounds split the one root into 25 points (24 modes)
+    # within 1.5e-5 of 0 from 64,826 starts
+    m = Mixture.from_arrays([0.5, 0.5], [[-1.0], [1.0]], shared_covariance=np.eye(1))
+    start = time.perf_counter()
+    report = find_critical_points(m)
+    assert time.perf_counter() - start < 1.0
+    assert report.n_critical == 1 and report.points[0].degenerate
+    assert abs(report.points[0].location[0]) <= 1.5e-5
+    assert report.n_starts == 1
+
+
+def narrow_remote_battery_1d(seed, n):
+    """n 1-d mixtures with k = 2..6, means in U(-10, 10) and standard
+    deviations log-uniform on [0.05, 3], so components can sit hundreds of
+    their standard deviations apart."""
+    rng = np.random.default_rng(seed)
+    battery = []
+    for _ in range(n):
+        k = int(rng.integers(2, 7))
+        means = rng.uniform(-10.0, 10.0, size=(k, 1))
+        sigmas = np.exp(rng.uniform(np.log(0.05), np.log(3.0), size=k))
+        battery.append(Mixture.from_arrays(rng.uniform(0.2, 1.0, size=k), means, sigmas[:, None, None] ** 2))
+    return battery
+
+
+def test_segment_route_matches_oracle_on_narrow_and_remote_components():
+    battery = narrow_remote_battery_1d(2121, 60)
+    # two mixtures of the battery's kind (seed 7, #418 and #2654) on which
+    # the chord rounds found 4 of 5 and 2 of 3 critical points
+    for weights, means, sigmas in [
+        ([0.11600674810614428, 0.40810243218633285, 0.47589081970752284],
+         [-9.509024393789595, 9.984373350016178, -6.652800489935348],
+         [0.5416469346901898, 0.06432988929919893, 2.773189340556445]),
+        ([0.5048474238140217, 0.4951525761859783],
+         [6.347037703120652, -9.038767896055575],
+         [0.06031627771264847, 2.4317782739846097]),
+    ]:
+        battery.append(Mixture.from_arrays(weights, np.array(means)[:, None], np.array(sigmas)[:, None, None] ** 2))
+    for m in battery:
+        want = oracle_critical_points_1d(m)
+        found = np.sort([p.location[0] for p in find_critical_points(m).points])
+        assert len(found) == len(want)
+        assert np.max(np.abs(found - want)) <= 1e-6
+    report = find_critical_points(padded_d1k6_mixture())
+    assert report.n_critical == 11 and report.counts_by_index == {0: 5, 1: 6}
+
+
+def elongated_pair(d, rep):
+    """Pair `rep` of dimension d among 360 elongated two-component mixtures.
+
+    Drawn from default_rng(11), 60 for each d = 1..6 in turn: the means from
+    U(-2, 2)^d, the weights from U(0.3, 1), then for each component a
+    covariance Q diag(e) Q' with Q the Q factor of a Gaussian matrix and e
+    log-uniform on [1e-3, 3] with e_0 = 3.
+    """
+    rng = np.random.default_rng(11)
+    for dim in range(1, 7):
+        for i in range(60):
+            means = rng.uniform(-2.0, 2.0, size=(2, dim))
+            weights = rng.uniform(0.3, 1.0, size=2)
+            covs = []
+            for _ in range(2):
+                q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+                e = np.exp(rng.uniform(np.log(1e-3), np.log(3.0), size=dim))
+                e[0] = 3.0
+                covs.append(q @ np.diag(e) @ q.T)
+            if (dim, i) == (d, rep):
+                return Mixture.from_arrays(weights, means, np.array(covs))
+    raise ValueError(f"no pair ({d}, {rep})")
+
+
+def ridgeline_roots(mixture, n_grid=20001, halvings=60):
+    """The critical points of a two-component mixture, from its ridgeline, with no solver code.
+
+    Each critical point is x*(s) = (a A_0 + b A_1)^-1 (a A_0 mu_0 + b A_1 mu_1),
+    a = 1 / (1 + e^-s) and b = 1 - a, at a root of
+    g(s) = l_0(x*(s)) - l_1(x*(s)) - s with l_i = log(alpha_i phi_i)
+    (Ray & Lindsay, Ann. Statist. 33, 2005).  x*(s) is one np.linalg.solve
+    per s; g is scanned on s = sinh(linspace(-12, 12, n_grid)) and each sign
+    change bisected.
+    """
+    (p0, p1), (mu0, mu1) = mixture.precisions, mixture.means
+    consts = np.log(mixture.weights) - 0.5 * np.linalg.slogdet(mixture.covariances)[1]
+
+    def x_and_g(s):
+        a, b = expit(s), expit(-s)
+        mat = a[:, None, None] * p0 + b[:, None, None] * p1
+        x = np.linalg.solve(mat, (a[:, None] * (p0 @ mu0) + b[:, None] * (p1 @ mu1))[..., None])[..., 0]
+        ell0, ell1 = (c - 0.5 * np.einsum("ni,ij,nj->n", x - mu, p, x - mu)
+                      for c, mu, p in zip(consts, (mu0, mu1), (p0, p1)))
+        return x, ell0 - ell1 - s
+
+    s = np.sinh(np.linspace(-12.0, 12.0, n_grid))
+    _, g = x_and_g(s)
+    assert not np.any(g == 0.0)
+    at = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+    lo, hi, g_lo = s[at], s[at + 1], g[at]
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        g_mid = x_and_g(mid)[1]
+        left = np.sign(g_mid) == np.sign(g_lo)
+        lo, g_lo, hi = np.where(left, mid, lo), np.where(left, g_mid, g_lo), np.where(left, hi, mid)
+    return x_and_g(0.5 * (lo + hi))[0]
+
+
+@pytest.mark.parametrize("d, rep, n_modes", [(5, 54, 2), (2, 59, 3), (3, 10, 3), (2, 5, 2)])
+def test_elongated_pairs_reach_their_ridgeline_counts(d, rep, n_modes):
+    # The chord rounds found 1 of 3 points on d5 #54 (whose modes sit at
+    # s = -4.1 and s = 112.4), with every Morse check passing, and 4 of 5,
+    # 4 of 5 and 2 of 3 on the others, which failed the Morse equality.
+    m = elongated_pair(d, rep)
+    want = ridgeline_roots(m)
+    report = find_critical_points(m)
+    assert report.n_critical == len(want) and report.n_modes == n_modes
+    found = np.array([p.location for p in report.points])
+    for x in want:
+        assert np.min(np.linalg.norm(found - x, axis=1)) <= 1e-6 * (1.0 + np.linalg.norm(x))
+    assert report.all_nondegenerate and report.morse_equality_ok
 
 
 def test_chord_quarter_points_find_every_root():
