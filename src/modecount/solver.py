@@ -9,9 +9,9 @@ iteration in log-coordinates that runs each start in the chart of its own
 dominant component, polishes the roots with the same damped Newton loop in
 x, classifies them by Hessian inertia, and assembles a report with Morse
 and upper-bound verdicts.  Where the problem is one-dimensional (d = 1, or
-k = 2 in any d) the starts are the roots of an exact scalar function found
-by a grid scan; otherwise they are the means, their midpoints and the
-chords between the roots found so far.
+k = 2 in any d) polish takes the roots of a scanned exact scalar function;
+otherwise the starts are the means, their midpoints and the chords between
+the roots found so far.
 
 `_LogSolver` is the one Newton engine and derivative evaluator.  Past the
 log-ratio solve it works with density-relative quantities (log-density,
@@ -60,7 +60,7 @@ class SolverConfig:
     (`_damped_newton`) with module constants (NEWTON_TOL, NEWTON_MAX_ITER,
     MAX_HALVINGS and _POLISH_*), and `find_critical_points` fixes the
     starts: the roots of a scanned scalar function for d = 1 or k = 2
-    (grids `_SEGMENT_GRID` and `_RIDGE_POINTS`), otherwise the component
+    (`_SEGMENT_GRID`, `_RIDGE_POINTS`, `_SCAN_HALVINGS`), otherwise the
     means, the mean midpoints and the chord starts of the restart rounds.
     """
 
@@ -426,9 +426,10 @@ _CLUSTER_BLOCK = 2 ** 16
 # The scan grids of the scalar route: `_segment_starts` scans a 1-d mixture
 # at each mean plus its standard deviation times these 401 offsets (out to
 # 8.1e4), and `_ridgeline_starts` scans a two-component mixture's ridgeline
-# function at this many points
+# function at this many points; 2^-20 of a grid cell is on the scale of
+# `dedup_tol`, and polish converges from there
 _SEGMENT_GRID = np.sinh(np.linspace(-12.0, 12.0, 401))
-_RIDGE_POINTS = 2001
+_RIDGE_POINTS, _SCAN_HALVINGS = 2001, 20
 
 
 def _damped_newton(u0, evaluate, residual, tolerance, max_iter: int, rungs: int):
@@ -587,21 +588,21 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     keep = _row_norms(chords) > 0.0
     origins, chords = origins[keep], chords[keep]
     ts = np.linspace(0.0, 1.0, 33)[1:-1]        # slots 7, 15, 23 are t = 1/4, 1/2, 3/4
-    line, t = _scan_roots(_slope_functions(*_restrict_to_chords(solver, origins, chords)), ts, len(origins))
+    line, t = _scan_roots(_slope_functions(*_restrict_to_chords(solver, origins, chords)), ts, len(origins), 40)
     quarters = origins[:, None, :] + ts[[7, 15, 23], None] * chords[:, None, :]
     return np.concatenate([quarters.reshape(-1, reps.shape[1]), origins[line] + t[:, None] * chords[line]])
 
 
-def _scan_roots(functions, grid: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _scan_roots(functions, grid: np.ndarray, n: int, halvings: int) -> tuple[np.ndarray, np.ndarray]:
     """The roots that a grid shows of n scalar functions, as (function index, parameter) arrays.
 
     `functions(rows)` returns the functions `rows` as one callable of t,
     which takes t of shape (T,), shared by the rows, or (len(rows), T), and
     returns their values as a (len(rows), T) array.  An exact zero on the
     ascending grid is a root, and so is every sign change between
-    neighbouring grid points, sharpened by 40 bisection halvings to the
-    midpoint of its last bracket.  The zeros come first, then the brackets,
-    each in (function, grid slot) order.
+    neighbouring grid points, bisected `halvings` times to the midpoint of
+    its last bracket.  The zeros come first, then the brackets, each in
+    (function, grid slot) order.
 
     The halvings run in rounds of m (see `_halvings_per_round`): one call
     evaluates each bracket at all 2^m - 1 points that its next m halvings
@@ -619,7 +620,7 @@ def _scan_roots(functions, grid: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
         t_lo, width = grid[slot], grid[slot + 1] - grid[slot]
         lo_positive = vals[pair_idx, slot] > 0.0
         evaluate = functions(pair_idx)
-        per_round, left = _halvings_per_round(len(pair_idx)), 40
+        per_round, left = _halvings_per_round(len(pair_idx)), halvings
         while left:
             m = min(per_round, left)
             # the 2^m - 1 points that the next m halvings can visit
@@ -639,7 +640,7 @@ def _scan_roots(functions, grid: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
 
 
 def _segment_starts(solver: _LogSolver) -> np.ndarray:
-    """Every critical point of a 1-d mixture, to scan precision, as (n, 1) Newton starts.
+    """Every critical point of a 1-d mixture, to scan precision, as (n, 1) rows.
 
     Each critical point is a precision-weighted average of the means, so
     they all lie on the segment [min mu, max mu], and they are the roots of
@@ -653,17 +654,17 @@ def _segment_starts(solver: _LogSolver) -> np.ndarray:
     means = solver.means[:, 0]
     lo, hi = means.min(), means.max()
     if lo == hi:
-        return solver.means[:1].copy()
+        return solver.means[:1]
     origin, chord = np.array([[lo]]), np.array([[hi - lo]])
     sigmas = 1.0 / np.sqrt(solver.precisions[:, 0, 0])
     near = ((means[:, None] + sigmas[:, None] * _SEGMENT_GRID) - lo) / (hi - lo)
     grid = np.unique(np.concatenate([[0.0, 1.0], np.clip(near.ravel(), 0.0, 1.0)]))
-    _, t = _scan_roots(_slope_functions(*_restrict_to_chords(solver, origin, chord)), grid, 1)
+    _, t = _scan_roots(_slope_functions(*_restrict_to_chords(solver, origin, chord)), grid, 1, _SCAN_HALVINGS)
     return lo + t[:, None] * chord[0]
 
 
 def _ridgeline_starts(solver: _LogSolver) -> np.ndarray:
-    """Every critical point of a two-component mixture, to scan precision, as (n, d) Newton starts.
+    """Every critical point of a two-component mixture, to scan precision, as (n, d) rows.
 
     The critical points are x*(s) at the roots of the ridgeline function
     g(s) = L_0(x*(s)) - L_1(x*(s)) - s, where x*(s) solves
@@ -694,7 +695,7 @@ def _ridgeline_starts(solver: _LogSolver) -> np.ndarray:
         return gap - 0.5 * np.sum(delta ** 2 * (near ** 2 - lam * far ** 2), axis=-1) - s
 
     grid = np.unique(np.sinh(np.linspace(-reach, reach, _RIDGE_POINTS)))
-    _, s = _scan_roots(lambda rows: ridge, grid, 1)
+    _, s = _scan_roots(lambda rows: ridge, grid, 1, _SCAN_HALVINGS)
     return mu0 + (_ridgeline_shares(lam, s)[0] * delta) @ back.T
 
 
@@ -759,7 +760,7 @@ def _halvings_per_round(n_brackets: int) -> int:
     A round of m halvings evaluates 2^m - 1 points per bracket, each an O(k)
     slope of a restricted 1-d mixture or an O(d) ridgeline value; m is the
     largest that keeps a call at 256 rows or fewer.  Few brackets take 5
-    halvings per call, so the per-call cost is paid 8 times instead of 40;
+    halvings per call, so the per-call cost is paid once per 5 halvings;
     thousands of brackets take one, where more would evaluate points the
     bisection never uses.
     """
@@ -839,7 +840,8 @@ class SolveReport:
     """What a solve found, and the count, Morse and bound verdicts read from it.
 
     The fields are the solve's own outputs: the deduplicated, classified
-    critical points and the number of Newton starts run and converged.
+    critical points and the number of starts run and converged (for d = 1
+    or k = 2, the scan roots and those polished to `grad_accept_tol`).
     Every verdict is a property of those fields, so a report made with
     `dataclasses.replace(report, points=...)` judges its new points.
     """
@@ -1085,23 +1087,23 @@ def _cluster(
     return np.concatenate([prior, ordered[np.array(chosen, dtype=int)]]), labels
 
 
-def _dedup_points(candidates: np.ndarray, solver: _LogSolver, config: SolverConfig) -> list[CriticalPoint]:
+def _dedup_points(candidates: np.ndarray, solver: _LogSolver, config: SolverConfig) -> tuple[tuple, int]:
     """Cluster near-identical locations; keep each cluster's best-classified member.
 
     The best member passes the gradient test with the smallest gradient
     residual, the first in lexicographic order on ties; `cluster_diameter`
-    spans every member.
+    spans every member.  Returns the points and how many candidates pass.
     """
     if not len(candidates):
-        return []
+        return (), 0
     members = np.array(candidates)
     members = members[np.lexsort(members.T[::-1])]      # so `min` keeps the first on ties
     _, labels = _cluster(members, config.dedup_tol)
     classified = _classify(solver, members, config)
+    accepted = [p.gradient_residual <= config.grad_accept_tol for p in classified]
     points: list[CriticalPoint] = []
     for label in range(labels.max() + 1):
-        critical = [p for p, at in zip(classified, labels)
-                    if at == label and p.gradient_residual <= config.grad_accept_tol]
+        critical = [p for p, at, ok in zip(classified, labels, accepted) if at == label and ok]
         if not critical:
             continue
         best = min(critical, key=lambda cp: cp.gradient_residual)
@@ -1111,45 +1113,40 @@ def _dedup_points(candidates: np.ndarray, solver: _LogSolver, config: SolverConf
     # rounded first, so mirror points whose coordinates tie to the last ulps
     # keep their order under rounding-level changes in the solver
     points.sort(key=lambda p: (tuple(np.round(p.location, 9)), tuple(p.location)))
-    return points
+    return tuple(points), sum(accepted)
 
 
 def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -> SolveReport:
     """Locate and classify the critical points of a mixture density.
 
-    Damped Newton on the log-ratio system, each start in the chart of its
-    dominant component (see `_LogSolver`).  Converged roots are clustered,
-    sharpened by Newton steps on the relative gradient, deduplicated, and
-    classified.  `n_starts` and `n_converged` count the starts that ran.
+    For d = 1 or k = 2, polish, dedup and classification take the roots of
+    an exact scalar function, bisected to 2^-20 of a grid cell: the
+    log-density slope on [min mu, max mu] (`_segment_starts`) for d = 1,
+    the ridgeline function (`_ridgeline_starts`) for k = 2.  `n_starts`
+    counts the roots, `n_converged` those polished to `grad_accept_tol`.
+    Two roots in one grid cell are missed.
 
-    Where the problem is one-dimensional, the starts are the roots of an
-    exact scalar function, found by one grid scan, and Newton runs once from
-    them: for d = 1 the log-density slope on [min mu, max mu]
-    (`_segment_starts`), and for k = 2 in any d the ridgeline function
-    (`_ridgeline_starts`).  A root the scan misses (two roots closer than
-    the grid spacing) is not recovered.
-
-    Otherwise (d >= 2 and k >= 3) the starts run in rounds.  Round 0 starts
-    at the component means and the pairwise mean midpoints; each later
-    round reseeds on the chords between the roots found so far (see
-    `_chord_starts`).  There is no completeness certificate; the report
-    carries start/drop diagnostics instead.  Every round keeps the
-    representatives found before it fixed: a new root joins the first
+    Otherwise damped Newton runs on the log-ratio system, each start in the
+    chart of its dominant component (see `_LogSolver`), and the converged
+    roots are clustered, polished, deduplicated and classified; `n_starts`
+    and `n_converged` count the starts run and converged.  Round 0 starts
+    at the means and the mean midpoints; each later round reseeds on the
+    chords between the roots found so far, where saddles between far-apart
+    modes sit (see `_chord_starts`).  There is no completeness certificate;
+    the report carries start/drop diagnostics instead.  Every round keeps
+    the representatives found before it fixed: a new root joins the first
     representative within `dedup_tol` of it (see `_cluster`), and only the
-    roots that join none become new representatives, appended after the old
-    ones.  The rounds stop when one adds no representative, or after six
-    rounds.  A round seeds only the chords with at least one endpoint that
-    the round before it added.  That skip is exact: a chord between two
-    older representatives was seeded one round earlier from the same
-    points, each start's Newton path does not depend on its batch, so its
-    starts would return the same roots, and those already joined a
-    representative.
+    roots that join none become new representatives, appended after the
+    old ones.  The rounds stop when one adds no representative, or after six
+    rounds.  A round seeds only the chords with an endpoint that the round
+    before it added.  That skip is exact: a chord between older
+    representatives was seeded a round earlier, and its starts, whose
+    Newton paths do not depend on their batch, would return the same roots.
     """
     config = config or SolverConfig()
     d, k = mixture.dim, mixture.n_components
     if k == 1:
-        return SolveReport(mixture, tuple(_dedup_points(mixture.means, _LogSolver(mixture), config)),
-                           1, 1, config)
+        return SolveReport(mixture, _dedup_points(mixture.means, _LogSolver(mixture), config)[0], 1, 1, config)
     if (d > MAX_DIM or k > MAX_COMPONENTS) and not config.force:
         raise ValueError(
             f"instance size d={d}, k={k} exceeds configured limits "
@@ -1159,27 +1156,24 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
 
     solver = _LogSolver(mixture)
     if d == 1 or k == 2:
-        starts, rounds = _segment_starts(solver) if d == 1 else _ridgeline_starts(solver), 1
-    else:
-        first, second = np.triu_indices(k, 1)
-        midpoints = 0.5 * (mixture.means[first] + mixture.means[second])
-        starts, rounds = np.concatenate([mixture.means, midpoints]), 6
+        roots = solver.polish(_segment_starts(solver) if d == 1 else _ridgeline_starts(solver))
+        points, accepted = _dedup_points(roots, solver, config)
+        return SolveReport(mixture, points, len(roots), accepted, config)
+    first, second = np.triu_indices(k, 1)
+    starts = np.concatenate([mixture.means, 0.5 * (mixture.means[first] + mixture.means[second])])
     reps = np.empty((0, d))
     n_starts = n_converged = 0
-    # Critical points the means and midpoints miss (such as tiny-responsibility
-    # saddles between far-apart modes) sit on chords between found points, so
-    # every later round reseeds there.
-    for round_ in range(rounds):
+    for round_ in range(6):
         roots, converged = solver.solve_batch(starts)
         n_starts, n_converged = n_starts + len(starts), n_converged + converged
         reps, n_old = _cluster(roots, config.dedup_tol, prior=reps)[0], len(reps)
-        if len(reps) == n_old or round_ == rounds - 1:
+        if len(reps) == n_old or round_ == 5:
             break
         starts = _chord_starts(solver, reps, n_old)
         if not len(starts):
             break
 
-    return SolveReport(mixture, tuple(_dedup_points(solver.polish(reps), solver, config)),
+    return SolveReport(mixture, _dedup_points(solver.polish(reps), solver, config)[0],
                        n_starts, n_converged, config)
 
 
@@ -1203,7 +1197,7 @@ def solve_reduced_homoscedastic(mixture: Mixture, config: SolverConfig | None = 
     solver = _LogSolver(mixture)
     candidates = np.array([amap.inverse(np.concatenate([p.location, np.zeros(d - r)]))
                            for p in inner.points]).reshape(-1, d)
-    return SolveReport(mixture, tuple(_dedup_points(solver.polish(candidates), solver, config)),
+    return SolveReport(mixture, _dedup_points(solver.polish(candidates), solver, config)[0],
                        inner.n_starts, inner.n_converged, config)
 
 

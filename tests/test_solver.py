@@ -1025,6 +1025,86 @@ def test_elongated_pairs_reach_their_ridgeline_counts(d, rep, n_modes):
     assert report.all_nondegenerate and report.morse_equality_ok
 
 
+def test_scalar_route_runs_no_log_ratio_newton(monkeypatch):
+    # d = 1 and k = 2 solve by scan, polish and classify alone: the scan
+    # roots need no log-ratio Newton, and n_converged counts the polished
+    # roots that pass grad_accept_tol
+    def refuse(self, x0):
+        raise AssertionError("log-ratio Newton on the scalar route")
+
+    monkeypatch.setattr(_LogSolver, "solve_batch", refuse)
+    sweep0 = random_mixture_1d(np.random.default_rng(SWEEP_SEED))
+    want = oracle_critical_points_1d(sweep0)
+    found = np.sort([p.location[0] for p in find_critical_points(sweep0).points])
+    assert len(found) == len(want) and np.max(np.abs(found - want)) <= 1e-6
+    pair = elongated_pair(3, 10)
+    report = find_critical_points(pair)
+    assert report.n_critical == len(ridgeline_roots(pair)) and report.n_dropped == 0
+    fold = Mixture.from_arrays([0.5, 0.5], [[-1.0], [1.0]], shared_covariance=np.eye(1))
+    report = find_critical_points(fold)
+    assert report.n_critical == 1 and report.n_starts == report.n_converged == 1
+
+
+def test_narrow_pair_reports_its_missing_saddle():
+    # two components 330 sigma apart: the scan finds the saddle at -0.179,
+    # but its polished point stops above grad_accept_tol, so the report
+    # must either keep the saddle or show the dropped root and fail the
+    # Morse equality, not report two modes with every check passing
+    m = Mixture.from_arrays([0.60386919, 0.39613081], [[8.83805132], [-9.03300794]],
+                            np.array([0.05456335, 0.05357586])[:, None, None] ** 2)
+    report = find_critical_points(m)
+    assert report.n_critical == 3 or (report.n_dropped >= 1 and not report.morse_equality_ok)
+
+
+def test_scan_halvings_follow_the_first_of_forty(monkeypatch):
+    # the scalar route stops its bisection after 20 halvings; with the same
+    # halvings per round m, it evaluates what the first 20 of 40 halvings
+    # evaluate, and the 40-halving root of each bracket lies in the bracket
+    # whose midpoint the 20-halving run returns (to the ulp where 2^-20 of a
+    # fine grid cell is below one)
+    scans = []
+
+    def spy(functions, grid, n, halvings):
+        scans.append((functions, grid, n))
+        return scan_roots(functions, grid, n, halvings)
+
+    def logged(functions, grid, n, halvings):
+        calls = []
+
+        def log(rows):
+            def evaluate(t):
+                calls.append((np.array(t), functions(rows)(t)))
+                return calls[-1][1]
+            return evaluate
+        return scan_roots(log, grid, n, halvings), calls
+
+    scan_roots = solver_module._scan_roots
+    monkeypatch.setattr(solver_module, "_scan_roots", spy)
+    rng = np.random.default_rng(SWEEP_SEED)
+    for mixture in [random_mixture_1d(rng) for _ in range(4)] + [elongated_pair(3, 10)]:
+        find_critical_points(mixture)
+    assert len(scans) == 5
+    for per_round in (None, 1, 3, 5):          # None: m from the bracket count, 5 here
+        if per_round is not None:
+            monkeypatch.setattr(solver_module, "_halvings_per_round", lambda n_brackets: per_round)
+        for functions, grid, n in scans:
+            (rows, short), calls = logged(functions, grid, n, 20)
+            (rows_40, long), calls_40 = logged(functions, grid, n, 40)
+            assert np.array_equal(rows, rows_40) and len(rows)
+            m = solver_module._halvings_per_round(len(rows))
+            full = 1 + 20 // m              # the grid, then the whole rounds
+            for (t, v), (t_40, v_40) in zip(calls[:full], calls_40):
+                assert np.array_equal(t, t_40) and np.array_equal(v, v_40)
+            if 20 % m:                      # a last round of r < m halvings
+                cols = np.arange(1, 2 ** (20 % m)) * 2 ** (m - 20 % m) - 1
+                (t, v), (t_40, v_40) = calls[full], calls_40[full]
+                assert np.array_equal(t, t_40[:, cols]) and np.array_equal(v, v_40[:, cols])
+            assert len(calls) == full + (20 % m > 0)
+            cell = np.searchsorted(grid, short) - 1
+            width = np.ldexp(grid[cell + 1] - grid[cell], -20)
+            assert np.all(np.abs(long - short) <= 0.5 * width + 2.0 * np.spacing(np.abs(short)))
+
+
 def test_chord_quarter_points_find_every_root():
     # highdim pool 104, het_d6k6_1: the chord brackets alone find 6 of the
     # 7 critical points, and that report fails the Morse check
@@ -1284,8 +1364,8 @@ def test_dedup_keeps_best_member_and_cluster_diameter():
     # 5e-7 is in the cluster but too far out to pass the gradient test
     saddle = [np.array([2e-10]), np.array([5e-7]), np.array([0.0]), np.array([-1e-10])]
     mode = [np.array([PAIR_MODE + 1e-12]), np.array([PAIR_MODE])]
-    points = _dedup_points(saddle + mode, _LogSolver(m), SolverConfig())
-    assert len(points) == 2
+    points, accepted = _dedup_points(saddle + mode, _LogSolver(m), SolverConfig())
+    assert len(points) == 2 and accepted == 5
     centre, top = points
     residuals = {float(x[0]): classify(m, x).gradient_residual
                  for x in saddle if float(np.abs(x[0])) < 1e-9}
@@ -1304,7 +1384,7 @@ def test_dedup_orders_mirror_points_by_rounded_location():
     nudged = np.nextafter(PAIR_MODE, np.inf)
     for upper, lower in ((PAIR_MODE, nudged), (nudged, PAIR_MODE)):
         candidates = [np.array([upper, PAIR_MODE]), np.array([lower, -PAIR_MODE])]
-        points = _dedup_points(candidates, _LogSolver(m), SolverConfig())
+        points = _dedup_points(candidates, _LogSolver(m), SolverConfig())[0]
         assert [float(p.location[1]) for p in points] == [-PAIR_MODE, PAIR_MODE]
 
 
