@@ -58,19 +58,13 @@ from .mixture import (
 )
 from .solver import (
     CriticalPoint,
-    ReducedSystem,
     SolveReport,
     SolverConfig,
-    build_reduced,
     classify,
     find_critical_points,
-    mean_shift_step,
     morse_check,
     polish_critical,
-    reduced_jacobian,
-    residual_R,
     solve_reduced_homoscedastic,
-    x_of_y,
 )
 
 __version__ = "0.1.0"
@@ -88,9 +82,7 @@ __all__ = [
     "crossover_dimension", "seed_closure_bound", "ray_ren_family", "simplex_family",
     "table_rows", "render_table_csv", "render_table_text",
     # solver
-    "ReducedSystem", "CriticalPoint", "SolveReport", "SolverConfig",
-    "build_reduced", "x_of_y", "residual_R", "reduced_jacobian",
-    "mean_shift_step", "find_critical_points",
+    "CriticalPoint", "SolveReport", "SolverConfig", "find_critical_points",
     "solve_reduced_homoscedastic", "classify", "polish_critical", "morse_check",
     # constructions
     "PaddingSpec", "PaddingError", "RecipeError", "RecipeVerificationError",

@@ -240,10 +240,10 @@ def cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    config = _solver_config(args)
     try:
+        config = _solver_config(args)
         mixture = read_mixture(args.file)
-    except (MixtureFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -283,10 +283,10 @@ def _parse_seed_list(text: str) -> list[SeedTriple]:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    config = _solver_config(args)
     pad_seed = PAD_BOUNDARY_SEED if args.seed is None else args.seed
     tilt_seed = TILT_SEED if args.seed is None else args.seed
     try:
+        config = _solver_config(args)
         if args.kind == "simplex":
             if args.K is None:
                 raise ValueError("construct simplex needs --K")
@@ -376,10 +376,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _solver_config(args)
     try:
+        config = _solver_config(args)
         mixture = read_mixture(args.file)
-    except (MixtureFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

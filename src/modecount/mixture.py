@@ -1,10 +1,11 @@
-"""Gaussian mixture representation and numerically stable evaluation.
+"""Gaussian mixture representation and a numerically stable logsumexp.
 
 Provides the core `Mixture` type (validated SPD covariances, cached
-precisions), log-domain density/gradient/Hessian evaluation, exponential
-tilting, the affine rank of the component means, and the homoscedastic
-reduction onto the affine hull of the means.  All objects are immutable
-after construction and all operations are pure.
+precisions), the max-shifted `logsumexp` the package evaluates with,
+exponential tilting, the affine rank of the component means, and the
+homoscedastic reduction onto the affine hull of the means.  The density
+and its derivatives are evaluated by the solver's `_LogSolver`.  All
+objects are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ class GaussianComponent:
         mean = _readonly(np.atleast_1d(self.mean))
         if mean.ndim != 1:
             raise ValueError("component mean must be a vector")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("component mean must be finite")
         d = mean.shape[0]
         cov = np.array(self.covariance, dtype=float)
         if cov.shape != (d, d):
@@ -170,8 +173,8 @@ class Mixture:
     """A finite Gaussian mixture density.
 
     Weights are normalized to sum to one at construction.  Components are
-    stored as an immutable tuple; stacked parameter arrays used by the
-    evaluators are cached lazily.
+    stored as an immutable tuple; the stacked parameter arrays that the
+    solver evaluates the mixture from are cached lazily.
     """
 
     components: tuple[GaussianComponent, ...]
@@ -266,51 +269,6 @@ class Mixture:
                 return False
         return True
 
-    # -- evaluation ---------------------------------------------------------
-
-    def log_component_terms(self, x: np.ndarray) -> np.ndarray:
-        """Per-component log(alpha_i phi_i(x)) as a (k,) vector."""
-        x = self._check_point(x)
-        diff = x[None, :] - self.means                       # (k, d)
-        quad = np.einsum("ki,kij,kj->k", diff, self.precisions, diff)
-        return self.log_weights + self.log_norms - 0.5 * quad
-
-    def log_density(self, x: np.ndarray) -> float:
-        return float(logsumexp(self.log_component_terms(x)))
-
-    def responsibilities(self, x: np.ndarray) -> np.ndarray:
-        """Normalized component weights w_i(x) = alpha_i phi_i(x) / Phi(x)."""
-        terms = self.log_component_terms(x)
-        return np.exp(terms - logsumexp(terms))
-
-    def relative_derivatives(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Log-density plus gradient and Hessian divided by the density.
-
-        Returns (log Phi(x), grad Phi / Phi, Hess Phi / Phi).  The scaled
-        derivatives stay representable arbitrarily far into the tails, where
-        Phi itself underflows; this is what the solver classifies with.
-        """
-        x = self._check_point(x)
-        terms = self.log_component_terms(x)
-        log_value = float(logsumexp(terms))
-        w = np.exp(terms - log_value)                        # responsibilities
-        diff = x[None, :] - self.means
-        b = -np.einsum("kij,kj->ki", self.precisions, diff)  # b_i = -A_i (x - mu_i)
-        rel_grad = w @ b
-        rel_hess = np.einsum("k,ki,kj->ij", w, b, b) - np.einsum("k,kij->ij", w, self.precisions)
-        return log_value, rel_grad, _symmetrize(rel_hess)
-
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Density, gradient and Hessian of the mixture at x.
-
-        The value is assembled in the log domain per component and combined
-        with log-sum-exp; gradient and Hessian come from the responsibility
-        decomposition, so relative accuracy survives far from the means.
-        """
-        log_value, rel_grad, rel_hess = self.relative_derivatives(x)
-        value = float(np.exp(log_value))
-        return value, value * rel_grad, _symmetrize(value * rel_hess)
-
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
@@ -360,7 +318,7 @@ def affine_rank(means: Sequence[np.ndarray] | np.ndarray) -> int:
     if diff.size == 0:
         return 0
     s = np.linalg.svd(diff, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > AFFINE_RANK_TOL * s[0]))
 
@@ -424,11 +382,9 @@ def reduce_homoscedastic(mixture: Mixture) -> tuple[AffineMap, Mixture, float]:
     whiten = mixture.components[0].sqrt_precision
     rows = (mixture.means - base) @ whiten       # row i = B (mu_i - a), B symmetric
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         raise ValueError("all means coincide (affine rank 0); reduce has nothing to keep")
     r = int(np.count_nonzero(s > AFFINE_RANK_TOL * s[0]))
-    if r == 0:
-        raise ValueError("all means coincide (affine rank 0); reduce has nothing to keep")
     amap = AffineMap(orthogonal=vt, whiten=whiten, base=base)
     reduced_means = rows @ vt.T[:, :r]
     reduced = Mixture.from_arrays(

@@ -3,21 +3,21 @@
 Critical points of a k-component mixture biject with positive roots of the
 (k-1)-dimensional system R(y) = 0, where y carries the component density
 ratios against a reference component, and any component can be that
-reference.  This module builds that system for one reference
-(`ReducedSystem`), solves it with a deterministic multistart damped Newton
-iteration in log-coordinates that runs each start in the chart of its own
-dominant component, polishes the roots with the same damped Newton loop in
-x, classifies them by Hessian inertia, and assembles a report with Morse
-and upper-bound verdicts.  Where the problem is one-dimensional (d = 1, or
-k = 2 in any d) polish takes the roots of a scanned exact scalar function;
-otherwise the starts are the means, their midpoints and the chords between
-the roots found so far.
+reference.  This module solves that system with a deterministic
+multistart damped Newton iteration in log-coordinates that runs each start
+in the chart of its own dominant component, polishes the roots with the
+same damped Newton loop in x, classifies them by Hessian inertia, and
+assembles a report with Morse and upper-bound verdicts.  Where the
+problem is one-dimensional (d = 1, or k = 2 in any d) polish takes the
+roots of a scanned exact scalar function; otherwise the starts are the
+means, their midpoints and the chords between the roots found so far.
 
-`_LogSolver` is the one Newton engine and derivative evaluator.  Past the
-log-ratio solve it works with density-relative quantities (log-density,
-gradient over density, Hessian over density), so the solver stays
-numerically meaningful even for witness mixtures whose components sit
-hundreds of standard deviations apart.
+`_LogSolver` is the package's one evaluation path for that system, and
+its one Newton engine and derivative evaluator.  Past the log-ratio solve
+it works with density-relative quantities (log-density, gradient over
+density, Hessian over density), so the solver stays numerically
+meaningful even for witness mixtures whose components sit hundreds of
+standard deviations apart.
 """
 
 from __future__ import annotations
@@ -33,15 +33,9 @@ from .bounds import BoundValue, mode_bound_from_critical, upper_bound
 from .mixture import Mixture, _last_max, _last_sum, affine_rank, logsumexp, reduce_homoscedastic
 
 __all__ = [
-    "ReducedSystem",
     "CriticalPoint",
     "SolveReport",
     "SolverConfig",
-    "build_reduced",
-    "x_of_y",
-    "residual_R",
-    "reduced_jacobian",
-    "mean_shift_step",
     "find_critical_points",
     "solve_reduced_homoscedastic",
     "classify",
@@ -55,7 +49,8 @@ class SolverConfig:
 
     Relative dedup at 1e-6, degeneracy flagged below eigenvalue ratio 1e-8,
     and points accepted as critical when the density-relative gradient norm
-    is below 1e-9; `force` lifts the size limits MAX_DIM and MAX_COMPONENTS.
+    is below 1e-9; each tolerance must be finite and positive.  `force`
+    lifts the size limits MAX_DIM and MAX_COMPONENTS.
     The Newton solve and the polish of the roots run one damped Newton loop
     (`_damped_newton`) with module constants (NEWTON_TOL, NEWTON_MAX_ITER,
     MAX_HALVINGS and _POLISH_*), and `find_critical_points` fixes the
@@ -69,136 +64,14 @@ class SolverConfig:
     grad_accept_tol: float = 1e-9
     force: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("dedup_tol", "degeneracy_tol", "grad_accept_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """Coefficients of the reduced ratio system for one reference component.
-
-    For each non-reference component i the ratio rho_i(x) =
-    alpha_i phi_i(x) / (alpha_ref phi_ref(x)) equals beta_i exp(q_i(x)) with
-    the quadratic q_i(x) = x'Hx/2 + g'x + c stored coefficientwise.
-    """
-
-    mixture: Mixture
-    reference: int
-    free: tuple[int, ...]               # non-reference component indices, ascending
-    log_betas: np.ndarray               # (m,)
-    quad: np.ndarray                    # (m, d, d) quadratic coefficient H_i
-    lin: np.ndarray                     # (m, d) linear coefficient g_i
-    const: np.ndarray                   # (m,) scalar coefficient c_i
-
-    @property
-    def dim(self) -> int:
-        return self.mixture.dim
-
-    @property
-    def n_free(self) -> int:
-        return len(self.free)
-
-    def q_values(self, x: np.ndarray) -> np.ndarray:
-        """All q_i(x) as an (m,) vector."""
-        x = np.asarray(x, dtype=float)
-        return (
-            0.5 * np.einsum("i,kij,j->k", x, self.quad, x)
-            + self.lin @ x
-            + self.const
-        )
-
-    def log_rho(self, x: np.ndarray) -> np.ndarray:
-        """log of the density ratios rho_i(x) against the reference."""
-        return self.log_betas + self.q_values(x)
-
-
-def build_reduced(mixture: Mixture, reference: int | None = None) -> ReducedSystem:
-    """Assemble the reduced system with the given reference component.
-
-    The reference defaults to the last component; any choice gives the
-    same critical set.  `find_critical_points` does not build this system:
-    `_LogSolver` evaluates the same equations from the component terms, in
-    a chart picked per start.
-    """
-    k = mixture.n_components
-    if k < 2:
-        raise ValueError("the reduced system needs k >= 2; a single Gaussian has mean as its only critical point")
-    ref = k - 1 if reference is None else int(reference)
-    if not 0 <= ref < k:
-        raise ValueError(f"reference index {ref} out of range for {k} components")
-    free = tuple(i for i in range(k) if i != ref)
-    comps = mixture.components
-    cref = comps[ref]
-    a_ref = cref.precision
-    a_ref_mu = a_ref @ cref.mean
-    log_betas = np.array([
-        math.log(comps[i].weight) - math.log(cref.weight)
-        + 0.5 * (cref.log_det_cov - comps[i].log_det_cov)
-        for i in free
-    ])
-    quad = np.array([a_ref - comps[i].precision for i in free])
-    lin = np.array([comps[i].precision @ comps[i].mean - a_ref_mu for i in free])
-    const = np.array([
-        0.5 * (cref.mean @ a_ref_mu - comps[i].mean @ comps[i].precision @ comps[i].mean)
-        for i in free
-    ])
-    return ReducedSystem(
-        mixture=mixture, reference=ref, free=free,
-        log_betas=log_betas, quad=quad, lin=lin, const=const,
-    )
-
-
-def _chart_row(sys: ReducedSystem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive ratios y as floats, and log y as a one-row batch u in chart `sys.reference`."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("ratios y must be strictly positive")
-    u = np.zeros((1, sys.mixture.n_components))
-    u[0, list(sys.free)] = np.log(y)
-    return y, u
-
-
-def x_of_y(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
-    """The candidate critical point X(y) = M(y)^{-1} nu(y) for positive ratios y."""
-    _, u = _chart_row(sys, y)
-    x, _, _ = _LogSolver(sys.mixture).x_batch(u)
-    return x[0]
-
-
-def residual_R(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
-    """Componentwise residual R_i(y) = y_i - beta_i exp(q_i(X(y))).
-
-    Evaluated as -y_i expm1(-S_i(log y)) from the log-ratio residual S, which
-    is the same real function assembled without overflowing intermediates.
-    """
-    y, u = _chart_row(sys, y)
-    s = _LogSolver(sys.mixture).residual_batch(u, np.array([sys.reference]))
-    return -y * np.expm1(-s[0, list(sys.free)])
-
-
-def reduced_jacobian(sys: ReducedSystem, y: np.ndarray) -> np.ndarray:
-    """Jacobian DR(y); its regularity matches the Hessian's at roots.
-
-    With rho = y exp(-S) the ratios at X(y), DR = I - diag(rho) (I - DS)
-    diag(1/y), where DS is the Jacobian of S in u = log y.
-    """
-    y, u = _chart_row(sys, y)
-    s, jac = _LogSolver(sys.mixture).residual_and_jacobian_batch(u, np.array([sys.reference]))
-    free = list(sys.free)
-    eye = np.eye(sys.n_free)
-    rho = y * np.exp(-s[0, free])
-    return eye - rho[:, None] * (eye - jac[0][np.ix_(free, free)]) / y[None, :]
-
-
-def mean_shift_step(mixture: Mixture, x: np.ndarray) -> np.ndarray:
-    """One step of the responsibility-weighted mean shift map.
-
-    Fixed points are exactly the critical points of the density.
-    """
-    w = mixture.responsibilities(x)
-    m_mat = np.einsum("k,kij->ij", w, mixture.precisions)
-    nu = np.einsum("k,kij,kj->i", w, mixture.precisions, mixture.means)
-    return np.linalg.solve(m_mat, nu)
 
 
 # -- multistart Newton in log ratio coordinates --------------------------------
@@ -319,9 +192,9 @@ class _LogSolver:
     def residual_and_step_batch(self, u: np.ndarray, charts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """S and its Newton step -(S + (a - a_c) z), where K_w z = sum_j w_j S_j a_j.
 
-        With a_j = A_j (X - mu_j), the k x k Newton matrix of
-        `residual_and_jacobian_batch` is I - U V' with rows U_i = a_i - a_c
-        and V_j = w_j M_w^{-1} a_j.  Since sum_j w_j a_j = M_w X - nu_w = 0,
+        With a_j = A_j (X - mu_j), the k x k Newton matrix of S in u, with
+        row c replaced by e_c, is I - U V' with rows U_i = a_i - a_c and
+        V_j = w_j M_w^{-1} a_j.  Since sum_j w_j a_j = M_w X - nu_w = 0,
         M_w (I - V'U) = M_w - sum_j w_j a_j a_j' = K_w, which at a root is
         -Hess log f, and the Woodbury identity inverts the k x k matrix with
         one d x d solve.  Row c of U is 0, so step_c stays 0.
@@ -336,22 +209,6 @@ class _LogSolver:
         k_mat = m_mat - _weighted_gram(w, atimes)
         z = _solve_rows(k_mat, np.einsum("bk,bki->bi", w * s, atimes))
         return s, -(s + np.einsum("bki,bi->bk", _centre(atimes, charts), z))
-
-    def residual_and_jacobian_batch(self, u: np.ndarray, charts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """S and its k x k Newton matrix, whose row c is e_c, so that step_c = 0.
-
-        Only `reduced_jacobian` uses the matrix; the Newton loop takes its
-        step from `residual_and_step_batch`.
-        """
-        x, w, m_mat = self.x_batch(u)
-        terms, atimes = self.component_terms(x)
-        s = _centre(u - terms, charts)
-        # dX/du_j = -w_j M_w^{-1} A_j (X - mu_j), and the gradient of L_i in X
-        # is -A_i (X - mu_i)
-        cols = -np.linalg.solve(m_mat, atimes.transpose(0, 2, 1)) * w[:, None, :]
-        grads = _centre(-atimes, charts)
-        jac = np.eye(u.shape[1]) - np.einsum("bkd,bdm->bkm", grads, cols)
-        return s, jac
 
     def _row_tols(self, u: np.ndarray) -> np.ndarray:
         # Residual entries are differences of log-density terms of size |u|,

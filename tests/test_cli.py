@@ -185,6 +185,34 @@ def test_solve_malformed_file(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_solve_rejects_non_finite_mean(capsys, tmp_path):
+    # json.load accepts NaN and Infinity: a NaN mean died in a LinAlgError
+    # traceback, and an infinite one reported 0 critical points and exit 0
+    path = tmp_path / "bad.json"
+    for mean in ("NaN", "Infinity", "-Infinity"):
+        path.write_text('{"weights": [0.5, 0.5], "means": [[%s], [1.0]], "shared_covariance": [[1.0]]}' % mean)
+        for argv in (["solve", str(path)], ["verify", str(path), "--claim", "1"]):
+            code, out, err = run(capsys, argv)
+            assert code == EXIT_INPUT and out == "" and err.startswith("error:"), (mean, argv)
+            assert "mean must be finite" in err
+
+
+def test_invalid_tolerances_are_input_errors(capsys, tmp_path, pair_file):
+    # a NaN or negative tolerance reported 0 critical points, and exit 0,
+    # for the pair, which has 3
+    out_path = tmp_path / "s3.json"
+    commands = (["solve", pair_file], ["verify", pair_file, "--claim", "2"],
+                ["construct", "simplex", "--K", "3", "--out", str(out_path)])
+    for flag, field in (("--tol-grad", "grad_accept_tol"), ("--tol-dedup", "dedup_tol"),
+                        ("--tol-degenerate", "degeneracy_tol")):
+        for value in ("nan", "-1", "0", "inf"):
+            for argv in commands:
+                code, out, err = run(capsys, argv + [flag, value])
+                assert code == EXIT_INPUT and out == "" and err.startswith("error:"), (argv, flag, value)
+                assert f"{field} must be finite and positive" in err
+    assert not out_path.exists()
+
+
 def test_solve_limits_respected(capsys, tmp_path):
     rng = np.random.default_rng(60)
     m = Mixture.from_arrays(

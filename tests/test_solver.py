@@ -14,21 +14,17 @@ from modecount import (
     Mixture,
     SolveReport,
     SolverConfig,
-    build_reduced,
     classify,
     find_critical_points,
     lift,
-    mean_shift_step,
     morse_check,
     polish_critical,
     product,
     realize_recipe,
-    reduced_jacobian,
-    residual_R,
     solve_reduced_homoscedastic,
-    x_of_y,
 )
 
+import modecount
 from modecount import solver as solver_module
 from modecount.construct import REALIZE_EPSILON, radial_critical_roots, simplex_seed, tilt_polish
 from modecount.mixture import affine_rank, logsumexp, reduce_homoscedastic
@@ -37,7 +33,10 @@ from modecount.solver import (
     _restrict_to_chords, _softmax,
 )
 
-from conftest import oracle_critical_points_1d, random_mixture_1d, random_spd
+from conftest import (
+    build_reduced, mean_shift_step, oracle_critical_points_1d, random_mixture_1d, random_spd, reduced_jacobian,
+    relative_derivatives, residual_and_jacobian_batch, residual_R, responsibilities, x_of_y,
+)
 from test_acceptance import SWEEP_SEED
 
 # positive root of x = 2 tanh(2x), the mode of the unit-variance pair at +-2
@@ -173,7 +172,7 @@ def test_jacobian_singularity_tracks_hessian():
     sys_deg = build_reduced(m_deg)
     y0 = np.exp(sys_deg.log_rho(np.zeros(1)))
     assert abs(np.linalg.det(reduced_jacobian(sys_deg, y0))) < 1e-10
-    _, _, rel_hess = m_deg.relative_derivatives(np.zeros(1))
+    _, _, rel_hess = relative_derivatives(m_deg, np.zeros(1))
     assert abs(rel_hess[0, 0]) < 1e-12
 
 
@@ -266,9 +265,9 @@ def test_residual_rows_do_not_depend_on_batch(simplex_d5k6):
     # and so does every row of the k x k Newton matrix behind `reduced_jacobian`
     u = rng.uniform(-6.0, 6.0, size=(200, 5))
     charts = rng.integers(0, 5, size=200)
-    s, jac = solver.residual_and_jacobian_batch(u, charts)
+    s, jac = residual_and_jacobian_batch(solver, u, charts)
     for i in range(len(u)):
-        s_i, jac_i = solver.residual_and_jacobian_batch(u[i:i + 1], charts[i:i + 1])
+        s_i, jac_i = residual_and_jacobian_batch(solver, u[i:i + 1], charts[i:i + 1])
         assert np.array_equal(s[i], s_i[0]) and np.array_equal(jac[i], jac_i[0]), i
     assert np.array_equal(jac[np.arange(200), charts], np.eye(5)[charts])
 
@@ -407,10 +406,11 @@ def test_solve_rows_gives_nan_only_to_singular_rows(monkeypatch):
 
 def test_step_matches_newton_matrix_solve(simplex_d5k6):
     # the one d x d solve of `residual_and_step_batch` against np.linalg.solve
-    # on the k x k Newton matrix of `residual_and_jacobian_batch`, on rows in
-    # their dominant chart, where the Newton loop runs them: random mixtures
-    # with d, k in 1..6, the padded d1k6 witness (components up to 470
-    # standard deviations apart) and points near the simplex d5k6 roots.
+    # on the k x k Newton matrix of `conftest.residual_and_jacobian_batch`,
+    # on rows in their dominant chart, where the Newton loop runs them:
+    # random mixtures with d, k in 1..6, the padded d1k6 witness (components
+    # up to 470 standard deviations apart) and points near the simplex d5k6
+    # roots.
     # Both are solves of the same rounded system, so they differ in the
     # rounding of the solve, which the condition number of the Newton matrix
     # amplifies: the worst row of these cases differs by 1.7 eps cond(J)
@@ -437,7 +437,7 @@ def test_step_matches_newton_matrix_solve(simplex_d5k6):
         if more is not None:
             u, charts = np.concatenate([u, more[0]]), np.concatenate([charts, more[1]])
         s, step = solver.residual_and_step_batch(u, charts)
-        s_ref, jac = solver.residual_and_jacobian_batch(u, charts)
+        s_ref, jac = residual_and_jacobian_batch(solver, u, charts)
         assert np.array_equal(s, s_ref)
         want = np.linalg.solve(jac, -s[..., None])[..., 0]
         gap = np.linalg.norm(step - want, axis=1)
@@ -520,12 +520,12 @@ def test_shared_precision_product_matches_per_component_products(simplex_d5k6):
 def polish_one_point(mixture, x):
     """Reference polish: scalar damped Newton on the relative gradient.
 
-    It evaluates `Mixture.relative_derivatives` at every rung, makes at most
+    It evaluates `conftest.relative_derivatives` at every rung, makes at most
     8 steps of up to 20 rungs, takes a step only if it lowers the gradient
     norm and stops at a norm of 1e-15, as `_LogSolver.polish` does.
     """
     def derivatives(p):
-        _, g, h = mixture.relative_derivatives(p)
+        _, g, h = relative_derivatives(mixture, p)
         return float(np.linalg.norm(g)), g, h
 
     res, g, h = derivatives(x)
@@ -550,7 +550,7 @@ def polish_one_point(mixture, x):
 
 
 def test_batched_polish_and_classification_match_per_point_oracles():
-    # `Mixture.relative_derivatives` and `mean_shift_step` evaluate one point
+    # `conftest.relative_derivatives` and `mean_shift_step` evaluate one point
     # through the mixture's own component terms and share no code with the
     # solver's batched path; they agree up to rounding
     rng = np.random.default_rng(SWEEP_SEED)
@@ -563,7 +563,7 @@ def test_batched_polish_and_classification_match_per_point_oracles():
         report = find_critical_points(m)
         for p in report.points:
             x = p.location
-            log_value, _, rel_hess = m.relative_derivatives(x)
+            log_value, _, rel_hess = relative_derivatives(m, x)
             eigs = np.linalg.eigvalsh(rel_hess)
             assert np.max(np.abs(np.array(p.hessian_eigenvalues) - eigs)) <= 1e-13 * np.max(np.abs(eigs))
             assert abs(p.log_density - log_value) <= 1e-14 * (1.0 + abs(log_value))
@@ -1472,7 +1472,7 @@ def test_reduced_residual_in_dominant_chart_at_remote_points():
     assert max(np.max(p.reduced_coords) for p in report.points) > 1e60
     for p in report.points:
         assert p.reduced_residual <= 1e-12
-        assert p.reduced_reference == int(np.argmax(m.responsibilities(p.location)))
+        assert p.reduced_reference == int(np.argmax(responsibilities(m, p.location)))
         # the recorded chart lets the residual be recomputed from the report
         sys = build_reduced(m, p.reduced_reference)
         y = np.exp(sys.log_rho(p.location))
@@ -1511,6 +1511,30 @@ def test_option_surface_is_pinned():
         (realize_recipe, ["recipe", "epsilon", "config", "padding", "pad_seed", "tilt_seed"]),
     ]:
         assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
+    # `_LogSolver` is the package's one evaluation path; the per-point
+    # evaluators and the reduced-system wrappers that only tests call live
+    # in conftest.py, so a new test-only helper in the package fails here
+    assert solver_module.__all__ == [
+        "CriticalPoint", "SolveReport", "SolverConfig", "find_critical_points",
+        "solve_reduced_homoscedastic", "classify", "polish_critical", "morse_check"]
+    assert modecount.__all__ == [
+        "__version__",
+        "GaussianComponent", "Mixture", "MixtureFormatError", "AffineMap",
+        "tilt", "affine_rank", "reduce_homoscedastic",
+        "mixture_from_dict", "mixture_to_dict", "read_mixture", "write_mixture",
+        "BoundValue", "SeedTriple", "SeedRecipe",
+        "UPPER_FAMILIES", "LOWER_FAMILIES", "CROSSOVER_KINDS",
+        "upper_bound", "lower_bound", "mode_bound_from_critical", "aim_conjecture",
+        "crossover_dimension", "seed_closure_bound", "ray_ren_family", "simplex_family",
+        "table_rows", "render_table_csv", "render_table_text",
+        *solver_module.__all__,
+        "PaddingSpec", "PaddingError", "RecipeError", "RecipeVerificationError",
+        "simplex_vertices", "simplex_seed", "radial_critical_roots",
+        "lift", "product", "pad_remote", "realize_recipe", "tilt_polish",
+    ]
+    for name in ("log_component_terms", "log_density", "responsibilities", "relative_derivatives", "evaluate"):
+        assert not hasattr(Mixture, name), name
+    assert not hasattr(_LogSolver, "residual_and_jacobian_batch")
 
 
 def test_classify_rejects_noncritical_point():
