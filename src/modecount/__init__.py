@@ -62,7 +62,6 @@ from .solver import (
     SolverConfig,
     classify,
     find_critical_points,
-    morse_check,
     polish_critical,
     solve_reduced_homoscedastic,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "table_rows", "render_table_csv", "render_table_text",
     # solver
     "CriticalPoint", "SolveReport", "SolverConfig", "find_critical_points",
-    "solve_reduced_homoscedastic", "classify", "polish_critical", "morse_check",
+    "solve_reduced_homoscedastic", "classify", "polish_critical",
     # constructions
     "PaddingSpec", "PaddingError", "RecipeError", "RecipeVerificationError",
     "simplex_vertices", "simplex_seed", "radial_critical_roots",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import SeedRecipe, SeedTriple
 from .mixture import Mixture, logsumexp, tilt
-from .solver import NEWTON_TOL, SolverConfig, SolveReport, _LogSolver, find_critical_points
+from .solver import NEWTON_TOL, SolverConfig, SolveReport, _LogSolver, _scan_roots, find_critical_points
 
 __all__ = [
     "PaddingSpec",
@@ -39,11 +39,11 @@ TILT_MAGNITUDE = 1e-3
 TILT_RETRIES = 5
 PAD_BOUNDARY_SEED = 0xBD
 MAX_SEPARATION_DOUBLINGS = 40
-_RAY_GRID, _RAY_XTOL = 10_000, 1e-14     # see `radial_critical_roots`
+_RAY_GRID = 10_000     # see `_ray_roots`
 
 
 class PaddingError(RuntimeError):
-    """Remote padding could not certify the boundary inequalities."""
+    """Remote padding failed its sampled boundary test at every separation tried."""
 
 
 class RecipeError(ValueError):
@@ -90,8 +90,8 @@ def simplex_seed(K: int, epsilon: float = DEFAULT_EPSILON) -> tuple[Mixture, int
     remains.  Returns (mixture, expected_modes): K+1 when the ray
     criticality equation of `radial_critical_roots`, with n = K-1 and
     a = K/(1+epsilon), has its two roots, and 1 otherwise.  The claim only
-    counts the roots, so it reads the number of grid brackets, each of which
-    holds exactly one root, and refines none of them.  The expectation is a
+    counts the roots, so it takes the grid brackets of `_ray_roots`, each of
+    which holds exactly one root, with no halving.  The expectation is a
     claim to verify, not a certificate.
     """
     if K < 3:
@@ -104,53 +104,40 @@ def simplex_seed(K: int, epsilon: float = DEFAULT_EPSILON) -> tuple[Mixture, int
     vertices = simplex_vertices(n)
     weights = np.full(K, 1.0 / K)
     mixture = Mixture.from_arrays(weights, vertices, shared_covariance=tau * np.eye(n))
-    ray_modes = len(_ray_brackets(n, K / (1.0 + epsilon))) == 2
+    ray_modes = len(_ray_roots(n, K / (1.0 + epsilon), 0)) == 2
     return mixture, K + 1 if ray_modes else 1
 
 
-def _ray_ell(t: float, n: int, a: float) -> float:
-    """ell_a(t) = log(1-t) + a t - log(1+nt), zero exactly on the ray roots."""
-    return math.log1p(-t) + a * t - math.log1p(n * t)
+def _ray_roots(n: int, a: float, halvings: int) -> np.ndarray:
+    """Ascending roots in (0, 1) of ell_a(t) = log(1-t) + a t - log(1+nt).
 
-
-def _ray_brackets(n: int, a: float) -> list[tuple[float, float]]:
-    """Ascending brackets of the roots of ell_a in (0, 1), one root each.
-
-    Scans ell_a on a uniform grid of _RAY_GRID intervals: a grid point where
-    ell_a is exactly zero gives the bracket (t, t), and a sign change between
-    neighbouring grid points gives (t_i, t_{i+1}).
+    `_scan_roots` scans ell_a on a uniform grid of _RAY_GRID intervals: a
+    grid point where ell_a is exactly zero is a root as is, and each sign
+    change between neighbouring grid points, which holds exactly one root,
+    is bisected `halvings` times to the midpoint of its last bracket.
     """
+    def ell(t):
+        t = np.atleast_2d(t)                    # (T,) for the grid, (brackets, T) after
+        return np.log1p(-t) + a * t - np.log1p(n * t)
+
     ts = np.linspace(0.0, 1.0, _RAY_GRID + 1)[1:-1]
-    values = np.log1p(-ts) + a * ts - np.log1p(n * ts)
-    # np.log1p and math.log1p may differ in the last ulp; entries that close
-    # to zero take the scalar _ray_ell that brentq refines, so the brackets
-    # and their signs follow it exactly
-    near = np.flatnonzero(np.abs(values) <= 1e-12 * (1.0 + a))
-    values[near] = [_ray_ell(t, n, a) for t in ts[near]]
-    sign_change = np.append(values[:-1] * values[1:] < 0.0, False)
-    return [(float(ts[i]), float(ts[i] if values[i] == 0.0 else ts[i + 1]))
-            for i in np.flatnonzero((values == 0.0) | sign_change)]
+    return np.sort(_scan_roots(lambda rows: ell, ts, 1, halvings)[1])
 
 
 def radial_critical_roots(n: int, a: float) -> list[float]:
     """Roots in (0, 1) of (1-t)e^{at} = 1+nt, the ray criticality equation.
 
-    Brackets the roots of ell_a(t) = log(1-t) + a t - log(1+nt) on a uniform
-    grid of _RAY_GRID intervals and refines each sign change with
-    scipy.optimize.brentq at xtol _RAY_XTOL; a grid point where ell_a is
-    exactly zero is returned as is.  The root t = 0 is excluded by the open
-    interval.  Returns an ascending list, possibly empty: the equation has
-    two roots only for a in a window below n+1.  scipy is imported here, on
-    the first call, so that importing modecount loads numpy only.
+    These are the roots of ell_a(t) = log(1-t) + a t - log(1+nt), found by
+    `_ray_roots` with 40 halvings of each grid bracket: the last bracket is
+    about 9e-17 wide, at the rounding of t.  The root t = 0 is excluded by
+    the open interval.  Returns an ascending list, possibly empty: the
+    equation has two roots only for a in a window below n+1.
     """
     if n < 2:
         raise ValueError("ray analysis needs n >= 2")
     if a <= 0.0:
         raise ValueError("rate parameter a must be positive")
-    from scipy.optimize import brentq
-
-    return [lo if lo == hi else float(brentq(_ray_ell, lo, hi, args=(n, a), xtol=_RAY_XTOL))
-            for lo, hi in _ray_brackets(n, a)]
+    return _ray_roots(n, a, 40).tolist()
 
 
 def lift(mixture: Mixture, target_dim: int) -> Mixture:
@@ -216,11 +203,13 @@ def _ball_certifies_mode(solver: _LogSolver, center: np.ndarray, radius: float,
                          directions: np.ndarray) -> bool:
     """Strict boundary test: density at the center beats every sampled boundary point.
 
-    A strict interior maximum of the closed ball certifies a local maximum
-    inside it.  The center and the boundary points are evaluated in one batch.
+    If the center beat every point of the sphere, the closed ball would hold
+    a local maximum; only the sampled points are compared, so a pass is
+    evidence, not a certificate.  The center and the boundary points are
+    evaluated in one batch.
     """
     points = np.vstack([center, center + radius * directions])
-    log_f = logsumexp(solver.component_terms(points)[0], axis=1)
+    log_f = logsumexp(solver.component_terms(points)[0])
     return bool(np.all(log_f[1:] < log_f[0]))
 
 
@@ -244,16 +233,19 @@ def pad_remote(
     config: SolverConfig | None = None,
     seed: int = PAD_BOUNDARY_SEED,
 ) -> Mixture:
-    """Add `spec.count` remote low-weight components, one per guaranteed new mode.
+    """Add `spec.count` remote low-weight components, one per new mode.
 
     Each new center goes out along a cycling axis direction at distance
     separation_factor * (mean diameter + 10 * max standard deviation); the
     new component takes weight theta, the rest rescale by (1 - theta).  The
-    placement is accepted only when a numerical boundary test certifies a
-    mode near every retained witness location and near the new center,
-    doubling the separation until the test passes (error after 40
-    doublings).  The new component reuses the shared covariance when the
-    base is homoscedastic, the identity otherwise.
+    placement is accepted only when the density at every retained witness
+    location and at the new center beats the density at each sampled point
+    of a sphere around it (`_ball_certifies_mode`), doubling the separation
+    until the test passes (error after 40 doublings).  The sample is the 2d
+    axis directions plus 32 seeded random ones (none for d = 1), so a pass
+    is evidence of a mode inside each sphere, not a proof.  The new
+    component reuses the shared covariance when the base is homoscedastic,
+    the identity otherwise.
     """
     if spec.count == 0:
         return mixture
@@ -429,7 +421,7 @@ def realize_recipe(
             "grad_accept_tol": config.grad_accept_tol,
         },
     }
-    if report.all_nondegenerate and not (report.morse_inequality_ok and report.morse_equality_ok):
+    if not (report.morse_inequality_ok and report.morse_equality_ok):
         raise RecipeVerificationError(
             recipe.value, achieved,
             "witness report fails the Morse check M <= floor((N+1)/2), C_(d-1) >= M-1, "

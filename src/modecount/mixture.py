@@ -46,38 +46,30 @@ class MixtureFormatError(ValueError):
     """Raised when a mixture document is malformed."""
 
 
-def logsumexp(a, axis=None, keepdims: bool = False):
-    """log(sum(exp(a))) over `axis` (all entries when None).
+def logsumexp(a):
+    """log(sum(exp(a))) over the last axis of a.
 
     Evaluated as a_max + log(n) + log1p(sum_{a_i < a_max} exp(a_i - a_max) / n),
     with n the number of entries equal to the maximum a_max (Blanchard,
     Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).  The operations and
     their order are those of `scipy.special.logsumexp`, without the per-call
-    cost of scipy's array-API dispatch.  The reduced axis is swapped last and
-    reduced by `_last_max` and `_last_sum`, so the two agree bit for bit
-    unless the reduced axis is the last of two or more and has 8 or more
-    entries (see `_last_sum`).  Results that come out non-finite are taken
-    from log(sum(exp(a))), as scipy does.  A full reduction without
-    `keepdims` returns a scalar.
+    cost of scipy's array-API dispatch.  a is copied to Fortran order once,
+    so that `_last_max` and `_last_sum` reduce its last axis without copying
+    again, and the two agree bit for bit unless a has two or more axes and
+    the last has 8 or more entries (see `_last_sum`).  Results that come out
+    non-finite are taken from log(sum(exp(a))), as scipy does.  A vector
+    reduces to a scalar.
     """
-    a = np.asarray(a, dtype=float)
-    r = a.reshape(-1) if axis is None else np.asfortranarray(a.swapaxes(axis, -1))
+    a = np.asfortranarray(a, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = _last_max(r)[..., None]
-        top = r == a_max
-        n_top = _last_sum(top.astype(float))[..., None]
-        rest = _last_sum(np.exp(np.where(top, -np.inf, r) - a_max))[..., None]
+        a_max = _last_max(a)
+        top = a == a_max[..., None]
+        n_top = _last_sum(top.astype(float))
+        rest = _last_sum(np.exp(np.where(top, -np.inf, a) - a_max[..., None]))
         out = np.log1p(rest / n_top) + np.log(n_top) + a_max
         finite = np.isfinite(out)
         if not finite.all():
-            direct = np.log(_last_sum(np.exp(r))[..., None])
-            out = np.where(finite, out, direct)
-    if axis is None:
-        out = out.reshape((1,) * a.ndim if keepdims else ())
-    else:
-        out = out.swapaxes(axis, -1)
-        if not keepdims:
-            out = out.squeeze(axis=axis)
+            out = np.where(finite, out, np.log(_last_sum(np.exp(a))))
     return out[()] if out.ndim == 0 else out
 
 
@@ -117,16 +109,15 @@ class GaussianComponent:
     """One weighted Gaussian: weight alpha, mean mu, SPD covariance Sigma.
 
     The covariance is validated (symmetry to relative tolerance 1e-12,
-    strictly positive spectrum) and its inverse, inverse square root and
-    log-determinant are cached at construction, since evaluation may be
-    called millions of times per solve.
+    strictly positive spectrum) and its inverse and log-determinant are
+    cached at construction, since evaluation may be called millions of
+    times per solve.
     """
 
     weight: float
     mean: np.ndarray
     covariance: np.ndarray
     precision: np.ndarray = field(init=False, repr=False, compare=False)
-    sqrt_precision: np.ndarray = field(init=False, repr=False, compare=False)
     log_det_cov: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -155,7 +146,6 @@ class GaussianComponent:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", _readonly(cov))
         object.__setattr__(self, "precision", _readonly((eigvec / eigval) @ eigvec.T))
-        object.__setattr__(self, "sqrt_precision", _readonly((eigvec / np.sqrt(eigval)) @ eigvec.T))
         object.__setattr__(self, "log_det_cov", float(np.log(eigval).sum()))
 
     @property
@@ -379,7 +369,8 @@ def reduce_homoscedastic(mixture: Mixture) -> tuple[AffineMap, Mixture, float]:
         raise ValueError("mixture is not homoscedastic at the configured tolerance")
     d = mixture.dim
     base = mixture.means[0]
-    whiten = mixture.components[0].sqrt_precision
+    eigval, eigvec = np.linalg.eigh(mixture.covariances[0])
+    whiten = (eigvec / np.sqrt(eigval)) @ eigvec.T
     rows = (mixture.means - base) @ whiten       # row i = B (mu_i - a), B symmetric
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
     if s[0] == 0.0:

@@ -40,7 +40,6 @@ __all__ = [
     "solve_reduced_homoscedastic",
     "classify",
     "polish_critical",
-    "morse_check",
 ]
 
 @dataclass(frozen=True)
@@ -234,9 +233,9 @@ class _LogSolver:
     def relative_gradient(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """grad f / f for (B, d) points, with the log f, responsibilities and A_i (x - mu_i) it comes from."""
         terms, atimes = self.component_terms(x)
-        log_f = logsumexp(terms, axis=1, keepdims=True)
-        w = np.exp(terms - log_f)
-        return -np.einsum("bk,bki->bi", w, atimes), log_f[:, 0], w, atimes
+        log_f = logsumexp(terms)
+        w = np.exp(terms - log_f[:, None])
+        return -np.einsum("bk,bki->bi", w, atimes), log_f, w, atimes
 
     def relative_derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log f, grad f / f and Hess f / f as (B,), (B, d) and (B, d, d) batches for (B, d) points."""
@@ -615,11 +614,11 @@ def _halvings_per_round(n_brackets: int) -> int:
     """Bisection halvings per call in `_scan_roots`, from 1 to 5.
 
     A round of m halvings evaluates 2^m - 1 points per bracket, each an O(k)
-    slope of a restricted 1-d mixture or an O(d) ridgeline value; m is the
-    largest that keeps a call at 256 rows or fewer.  Few brackets take 5
-    halvings per call, so the per-call cost is paid once per 5 halvings;
-    thousands of brackets take one, where more would evaluate points the
-    bisection never uses.
+    slope of a restricted 1-d mixture, an O(d) ridgeline value or an O(1)
+    value of the simplex ray equation; m is the largest that keeps a call
+    at 256 rows or fewer.  Few brackets take 5 halvings per call, so the
+    per-call cost is paid once per 5 halvings; thousands of brackets take
+    one, where more would evaluate points the bisection never uses.
     """
     m = 1
     while m < 5 and n_brackets * (2 ** (m + 1) - 1) <= 256:
@@ -1059,24 +1058,13 @@ def solve_reduced_homoscedastic(mixture: Mixture, config: SolverConfig | None = 
 
 
 def _morse_verdicts(dim: int, points: Sequence[CriticalPoint]) -> tuple[bool, bool]:
-    # the inequality and the equality of `morse_check`
+    """The Morse inequalities and the Morse equality on a set of critical points.
+
+    The inequalities are M <= floor((N+1)/2) and C_(d-1) >= M - 1; the
+    equality is sum_i (-1)^(d-i) c_i = 1 over the counts c_i of points of
+    Morse index i (Poincare-Hopf for grad(-log f) on a large ball, where
+    -log f is coercive).
+    """
     indices = [p.morse_index for p in points]
     n, m, c = len(indices), indices.count(dim), indices.count(dim - 1)
     return m <= (n + 1) // 2 and c >= m - 1, sum((-1) ** (dim - i) for i in indices) == 1
-
-
-def morse_check(report: SolveReport, bounds: tuple[BoundValue, BoundValue] | None = None) -> bool:
-    """Morse-theoretic verdict for a completed report.
-
-    Checks the inequality M <= floor((N+1)/2) and C_{d-1} >= M - 1 and, on a
-    nondegenerate report, the equality sum_i (-1)^(d-i) c_i = 1 over the
-    counts c_i of points of Morse index i (Poincare-Hopf for grad(-log f) on
-    a large ball, where -log f is coercive); when a (critical bound, mode
-    bound) pair is supplied, also checks N and M against it.
-    """
-    inequality_ok, equality_ok = _morse_verdicts(report.mixture.dim, report.points)
-    ok = inequality_ok and (equality_ok or not report.all_nondegenerate)
-    if bounds is not None:
-        u_crit, u_mode = bounds
-        ok = ok and report.n_critical <= int(u_crit) and report.n_modes <= int(u_mode)
-    return ok
