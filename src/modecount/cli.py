@@ -3,6 +3,13 @@
 Every command echoes its effective configuration into the output and is
 deterministic: identical invocations produce byte-identical output.  Exit
 codes: 0 success, 1 verification failure, 2 input error, 3 inconclusive.
+
+Subcommands return 0, 1 or 3 and raise on failure; `main` alone maps the
+exceptions to exit codes.  A failed recipe verification or remote padding
+exits 1, and any `ValueError` or `OSError` is an input error, exit 2: among
+them an unreadable or malformed input file, an unwritable `--out` and an
+out-of-range `--dmax`.  Each error prints one line to stderr, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -37,14 +44,13 @@ from .construct import (
     TILT_SEED,
     PaddingError,
     PaddingSpec,
-    RecipeError,
     RecipeVerificationError,
     pad_remote,
     product,
     realize_recipe,
     simplex_seed,
 )
-from .mixture import MixtureFormatError, mixture_to_dict, read_mixture, write_mixture
+from .mixture import mixture_to_dict, read_mixture, write_mixture
 from .solver import MAX_COMPONENTS, MAX_DIM, SolverConfig, find_critical_points, solve_reduced_homoscedastic
 
 EXIT_OK = 0
@@ -68,18 +74,15 @@ def _config_echo(args: argparse.Namespace, solver: SolverConfig | None = None) -
     return echo
 
 
-def _emit(doc: dict, fmt: str, text: str | None = None, csv: str | None = None) -> None:
+def _emit(doc: dict, fmt: str, text: str, csv: str) -> None:
+    """Write `doc` as json, or the text or csv body (each ending in a newline) with its config."""
+    config = json.dumps(doc["config"], sort_keys=True)
     if fmt == "json":
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     elif fmt == "csv":
-        body = csv if csv is not None else ""
-        sys.stdout.write("# config: " + json.dumps(doc.get("config", {}), sort_keys=True) + "\n")
-        sys.stdout.write(body if body.endswith("\n") or not body else body + "\n")
+        sys.stdout.write(f"# config: {config}\n{csv}")
     else:
-        sys.stdout.write(text if text is not None else json.dumps(doc, indent=2, sort_keys=True))
-        if text is not None and not text.endswith("\n"):
-            sys.stdout.write("\n")
-        sys.stdout.write("config: " + json.dumps(doc.get("config", {}), sort_keys=True) + "\n")
+        sys.stdout.write(f"{text}config: {config}\n")
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
@@ -148,29 +151,25 @@ def _report_csv(report) -> str:
 def cmd_bounds(args: argparse.Namespace) -> int:
     family = args.family.upper()
     d, k = args.d, args.k
-    try:
-        if family == "AIM":
-            if k is None:
-                raise ValueError("the conjectural count needs both d and k")
-            value = aim_conjecture(d, k)
-        elif family in UPPER_FAMILIES:
-            value = upper_bound(family, d, k)
-        elif family in LOWER_FAMILIES:
-            if k is None:
-                raise ValueError("lower bounds need both d and k")
-            value = lower_bound(family, d, k)
-        else:
-            raise ValueError(
-                f"unknown family '{args.family}'; choose from "
-                f"{', '.join(UPPER_FAMILIES + LOWER_FAMILIES + ('AIM',))}"
-            )
-        if args.modes:
-            if family not in UPPER_FAMILIES:
-                raise ValueError("--modes applies only to critical-point upper bounds")
-            value = mode_bound_from_critical(value)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if family == "AIM":
+        if k is None:
+            raise ValueError("the conjectural count needs both d and k")
+        value = aim_conjecture(d, k)
+    elif family in UPPER_FAMILIES:
+        value = upper_bound(family, d, k)
+    elif family in LOWER_FAMILIES:
+        if k is None:
+            raise ValueError("lower bounds need both d and k")
+        value = lower_bound(family, d, k)
+    else:
+        raise ValueError(
+            f"unknown family '{args.family}'; choose from "
+            f"{', '.join(UPPER_FAMILIES + LOWER_FAMILIES + ('AIM',))}"
+        )
+    if args.modes:
+        if family not in UPPER_FAMILIES:
+            raise ValueError("--modes applies only to critical-point upper bounds")
+        value = mode_bound_from_critical(value)
     label = family + ("_MODES" if args.modes else "")
     doc = {
         "command": "bounds",
@@ -216,18 +215,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_crossover(args: argparse.Namespace) -> int:
     kind = args.kind.upper()
     if kind not in CROSSOVER_KINDS:
-        print(f"error: unknown crossover kind '{args.kind}'; choose from {', '.join(CROSSOVER_KINDS)}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"unknown crossover kind '{args.kind}'; choose from {', '.join(CROSSOVER_KINDS)}")
     ks = [args.k] if args.k is not None else list(range(2, 12))
-    rows = []
-    for k in ks:
-        try:
-            d = crossover_dimension(kind, k, d_max=args.dmax)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        rows.append({"kind": kind, "k": k, "d": d})
+    rows = [{"kind": kind, "k": k, "d": crossover_dimension(kind, k, d_max=args.dmax)} for k in ks]
     doc = {"command": "crossover", "rows": rows, "config": _config_echo(args)}
     text_lines = [f"{kind}: smallest d where the contender overtakes (searched d <= {args.dmax})"]
     for row in rows:
@@ -240,20 +230,10 @@ def cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        config = _solver_config(args)
-        mixture = read_mixture(args.file)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if args.reduce_rank:
-            report = solve_reduced_homoscedastic(mixture, config)
-        else:
-            report = find_critical_points(mixture, config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    config = _solver_config(args)
+    mixture = read_mixture(args.file)
+    solve = solve_reduced_homoscedastic if args.reduce_rank else find_critical_points
+    report = solve(mixture, config)
     doc = {
         "command": "solve",
         "input": args.file,
@@ -285,72 +265,62 @@ def _parse_seed_list(text: str) -> list[SeedTriple]:
 def cmd_construct(args: argparse.Namespace) -> int:
     pad_seed = PAD_BOUNDARY_SEED if args.seed is None else args.seed
     tilt_seed = TILT_SEED if args.seed is None else args.seed
-    try:
-        config = _solver_config(args)
-        if args.kind == "simplex":
-            if args.K is None:
-                raise ValueError("construct simplex needs --K")
-            eps = DEFAULT_EPSILON if args.eps is None else args.eps
-            mixture, expected = simplex_seed(args.K, eps)
-            provenance = {
-                "kind": "simplex",
-                "K": args.K,
-                "epsilon": eps,
-                "expected_modes": expected,
-                "verified_modes": None,
-            }
-        elif args.kind == "pad":
-            if args.base is None:
-                raise ValueError("construct pad needs --base")
-            base = read_mixture(args.base)
-            spec = PaddingSpec(count=args.count, separation_factor=args.sep_factor,
-                               weight_theta=args.theta)
-            mixture = pad_remote(base, spec, config=config, seed=pad_seed)
-            provenance = {
-                "kind": "pad",
-                "base": args.base,
-                "count": args.count,
-                "separation_factor": args.sep_factor,
-                "weight_theta": args.theta,
-                "components": mixture.n_components,
-            }
-        elif args.kind == "product":
-            if args.a is None or args.b is None:
-                raise ValueError("construct product needs --a and --b")
-            mixture = product(read_mixture(args.a), read_mixture(args.b))
-            provenance = {"kind": "product", "a": args.a, "b": args.b,
-                          "components": mixture.n_components, "dim": mixture.dim}
-        elif args.kind == "recipe":
-            if args.seeds is None or args.d is None or args.k is None:
-                raise ValueError("construct recipe needs --seeds, --d, and --k")
-            triples = _parse_seed_list(args.seeds)
-            seed_comps = math.prod(t.comps for t in triples)
-            pad = args.k - seed_comps
-            if pad < 0:
-                raise ValueError(
-                    f"component budget k={args.k} is below the {seed_comps} components the seeds use"
-                )
-            value = pad + math.prod(t.modes for t in triples)
-            recipe = SeedRecipe(seeds=tuple(triples), lift_to=args.d, pad=pad, value=value)
-            eps = REALIZE_EPSILON if args.eps is None else args.eps
-            padding = PaddingSpec(count=pad, separation_factor=args.sep_factor,
-                                  weight_theta=args.theta) if pad > 0 else None
-            mixture, provenance = realize_recipe(
-                recipe, epsilon=eps, config=config, padding=padding,
-                pad_seed=pad_seed, tilt_seed=tilt_seed,
+    config = _solver_config(args)
+    if args.kind == "simplex":
+        if args.K is None:
+            raise ValueError("construct simplex needs --K")
+        eps = DEFAULT_EPSILON if args.eps is None else args.eps
+        mixture, expected = simplex_seed(args.K, eps)
+        provenance = {
+            "kind": "simplex",
+            "K": args.K,
+            "epsilon": eps,
+            "expected_modes": expected,
+            "verified_modes": None,
+        }
+    elif args.kind == "pad":
+        if args.base is None:
+            raise ValueError("construct pad needs --base")
+        base = read_mixture(args.base)
+        spec = PaddingSpec(count=args.count, separation_factor=args.sep_factor,
+                           weight_theta=args.theta)
+        mixture = pad_remote(base, spec, config=config, seed=pad_seed)
+        provenance = {
+            "kind": "pad",
+            "base": args.base,
+            "count": args.count,
+            "separation_factor": args.sep_factor,
+            "weight_theta": args.theta,
+            "components": mixture.n_components,
+        }
+    elif args.kind == "product":
+        if args.a is None or args.b is None:
+            raise ValueError("construct product needs --a and --b")
+        mixture = product(read_mixture(args.a), read_mixture(args.b))
+        provenance = {"kind": "product", "a": args.a, "b": args.b,
+                      "components": mixture.n_components, "dim": mixture.dim}
+    elif args.kind == "recipe":
+        if args.seeds is None or args.d is None or args.k is None:
+            raise ValueError("construct recipe needs --seeds, --d, and --k")
+        triples = _parse_seed_list(args.seeds)
+        seed_comps = math.prod(t.comps for t in triples)
+        pad = args.k - seed_comps
+        if pad < 0:
+            raise ValueError(
+                f"component budget k={args.k} is below the {seed_comps} components the seeds use"
             )
-            provenance["kind"] = "recipe"
-        else:
-            raise ValueError(f"unknown construction kind '{args.kind}'")
-    except (MixtureFormatError, RecipeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RecipeVerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except PaddingError as exc:
-        print(f"construction failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        value = pad + math.prod(t.modes for t in triples)
+        recipe = SeedRecipe(seeds=tuple(triples), lift_to=args.d, pad=pad, value=value)
+        eps = REALIZE_EPSILON if args.eps is None else args.eps
+        padding = PaddingSpec(count=pad, separation_factor=args.sep_factor,
+                              weight_theta=args.theta) if pad > 0 else None
+        mixture, provenance = realize_recipe(
+            recipe, epsilon=eps, config=config, padding=padding,
+            pad_seed=pad_seed, tilt_seed=tilt_seed,
+        )
+        provenance["kind"] = "recipe"
+    else:
+        raise ValueError(f"unknown construction kind '{args.kind}'")
 
     write_mixture(mixture, args.out)
     sidecar = args.out + ".provenance.json"
@@ -376,18 +346,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        config = _solver_config(args)
-        mixture = read_mixture(args.file)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = find_critical_points(mixture, config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    config = _solver_config(args)
+    report = find_critical_points(read_mixture(args.file), config)
     degenerate_present = any(p.degenerate for p in report.points)
     if degenerate_present:
         mantissa, exponent = f"{TILT_MAGNITUDE:.0e}".split("e")
@@ -521,13 +481,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_INPUT
-        return EXIT_INPUT if code != 0 else EXIT_OK
-    return args.func(args)
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    try:
+        return args.func(args)
+    except RecipeVerificationError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
+    except PaddingError as exc:
+        print(f"construction failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -183,6 +183,8 @@ class PaddingSpec:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError("padding count must be nonnegative")
+        if not math.isfinite(self.separation_factor):
+            raise ValueError(f"separation factor must be finite, got {self.separation_factor}")
         if self.separation_factor <= 0.0:
             raise ValueError("separation factor must be positive")
         if not 0.0 < self.weight_theta <= 0.5:

@@ -347,9 +347,6 @@ class AffineMap:
         z = np.asarray(z, dtype=float)
         return self.base + np.linalg.solve(self.whiten, self.orthogonal.T @ z)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
 
 def reduce_homoscedastic(mixture: Mixture) -> tuple[AffineMap, Mixture, float]:
     """Reduce a homoscedastic mixture onto the affine hull of its means.

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from modecount import Mixture, cli, write_mixture
+from modecount import Mixture, PaddingError, cli, write_mixture
 from modecount.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -213,6 +213,30 @@ def test_invalid_tolerances_are_input_errors(capsys, tmp_path, pair_file):
     assert not out_path.exists()
 
 
+def test_input_errors_exit_2_with_one_line(capsys, tmp_path, pair_file):
+    # an unwritable --out and --dmax 0 escaped as tracebacks with exit 1, and
+    # a non-finite --sep-factor failed as a non-finite component mean
+    out_path = str(tmp_path / "x.json")
+    cases = [
+        (["construct", "simplex", "--K", "3", "--out", str(tmp_path / "missing" / "x.json")],
+         "No such file or directory"),
+        (["tables", "1", "--dmax", "0"], "d_max >= 1"),
+        (["tables", "3", "--dmax", "0"], "d_max >= 1"),
+    ]
+    for value in ("nan", "inf"):
+        cases += [
+            (["construct", "pad", "--base", pair_file, "--sep-factor", value, "--out", out_path],
+             f"separation factor must be finite, got {value}"),
+            (["construct", "recipe", "--seeds", "1,2,2", "--d", "2", "--k", "3",
+              "--sep-factor", value, "--out", out_path],
+             f"separation factor must be finite, got {value}"),
+        ]
+    for argv, message in cases:
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_INPUT and out == "" and err.startswith("error:"), argv
+        assert message in err and "Traceback" not in err and err.count("\n") == 1, (argv, err)
+
+
 def test_solve_limits_respected(capsys, tmp_path):
     rng = np.random.default_rng(60)
     m = Mixture.from_arrays(
@@ -400,6 +424,17 @@ def test_construct_recipe_verification_shortfall(capsys, tmp_path):
                                 "--d", "2", "--k", "3", "--eps", "0.15",
                                 "--out", str(tmp_path / "x.json")])
     assert code == EXIT_VERIFICATION and "shortfall" in err
+
+
+def test_construct_padding_failure_exits_1(capsys, tmp_path, pair_file, monkeypatch):
+    def fail(*args, **kwargs):
+        raise PaddingError("boundary test failed at every separation tried")
+
+    monkeypatch.setattr(cli, "pad_remote", fail)
+    code, out, err = run(capsys, ["construct", "pad", "--base", pair_file,
+                                  "--out", str(tmp_path / "x.json")])
+    assert code == EXIT_VERIFICATION and out == ""
+    assert err == "construction failure: boundary test failed at every separation tried\n"
 
 
 def test_construct_missing_required(capsys, tmp_path):

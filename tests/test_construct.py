@@ -246,6 +246,10 @@ def test_padding_spec_validation():
         PaddingSpec(count=-1)
     with pytest.raises(ValueError):
         PaddingSpec(count=1, separation_factor=0.0)
+    for factor in (math.nan, math.inf):
+        # inf overflowed to a nan center, and both failed as a non-finite component mean
+        with pytest.raises(ValueError, match="separation factor must be finite"):
+            PaddingSpec(count=1, separation_factor=factor)
     with pytest.raises(ValueError):
         PaddingSpec(count=1, weight_theta=0.6)
     spec = PaddingSpec(count=2)
