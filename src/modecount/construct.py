@@ -15,7 +15,9 @@ import numpy as np
 
 from .bounds import SeedRecipe, SeedTriple
 from .mixture import Mixture, logsumexp, tilt
-from .solver import NEWTON_TOL, SolverConfig, SolveReport, _LogSolver, _scan_roots, find_critical_points
+from .solver import (
+    NEWTON_TOL, SolverConfig, SolveReport, _distances, _LogSolver, _scan_roots, find_critical_points,
+)
 
 __all__ = [
     "PaddingSpec",
@@ -219,15 +221,6 @@ def _max_std(mixture: Mixture) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(c)[-1]) for c in mixture.covariances))
 
 
-def _means_diameter(points: np.ndarray) -> float:
-    if len(points) < 2:
-        return 0.0
-    return max(
-        float(np.linalg.norm(points[i] - points[j]))
-        for i in range(len(points)) for j in range(i + 1, len(points))
-    )
-
-
 def pad_remote(
     mixture: Mixture,
     spec: PaddingSpec,
@@ -247,7 +240,9 @@ def pad_remote(
     axis directions plus 32 seeded random ones (none for d = 1), so a pass
     is evidence of a mode inside each sphere, not a proof.  The new
     component reuses the shared covariance when the base is homoscedastic,
-    the identity otherwise.
+    the identity otherwise.  A distance whose square overflows (the
+    neighbour norms and the component terms take it) is a ValueError that
+    names the separation factor.
     """
     if spec.count == 0:
         return mixture
@@ -266,7 +261,7 @@ def pad_remote(
         axis = np.zeros(d)
         axis[j % d] = 1.0 if (j // d) % 2 == 0 else -1.0
         all_centers = np.vstack([current.means, np.vstack(mode_locations)])
-        base_distance = spec.separation_factor * (_means_diameter(all_centers) + 10.0 * _max_std(current))
+        base_distance = spec.separation_factor * (float(_distances(all_centers).max()) + 10.0 * _max_std(current))
         new_cov = (
             current.covariances[0].copy() if current.is_homoscedastic() else np.eye(d)
         )
@@ -274,6 +269,9 @@ def pad_remote(
         placed = None
         distance = base_distance
         for _ in range(MAX_SEPARATION_DOUBLINGS):
+            if not math.isfinite(distance * distance):
+                raise ValueError(f"separation factor {spec.separation_factor!r} is too large: padding component "
+                                 f"{j + 1} would sit at distance {distance:.3e}, whose square overflows")
             center = distance * axis
             weights = np.concatenate([current.weights * (1.0 - theta), [theta]])
             means = np.vstack([current.means, center])
@@ -282,12 +280,11 @@ def pad_remote(
             solver = _LogSolver(candidate)
 
             ok = True
-            retained = mode_locations + [center]
+            retained = np.vstack(mode_locations + [center])
+            gaps = _distances(retained)
+            np.fill_diagonal(gaps, math.inf)
             for i, loc in enumerate(retained):
-                neighbor = min(
-                    (np.linalg.norm(loc - other) for m, other in enumerate(retained) if m != i),
-                    default=math.inf,
-                )
+                neighbor = gaps[i].min()
                 if i < len(mode_locations):
                     radius = min(1e-3 * (1.0 + float(np.linalg.norm(loc))), neighbor / 3.0)
                 else:

@@ -23,7 +23,7 @@ standard deviations apart.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from typing import Sequence
 
@@ -275,10 +275,6 @@ MAX_DIM, MAX_COMPONENTS = 6, 6
 # polish stops a row at this gradient norm, after this many steps, or when
 # none of this many rungs lowers its gradient norm
 _POLISH_GRAD_TOL, _POLISH_STEPS, _POLISH_RUNGS = 1e-15, 8, 20
-# `_cluster` takes its prior-to-candidate distances in blocks of at most
-# this many coordinate differences (512 kB), so that they add nothing to
-# the peak memory of a solve
-_CLUSTER_BLOCK = 2 ** 16
 # The scan grids of the scalar route: `_segment_starts` scans a 1-d mixture
 # at each mean plus its standard deviation times these 401 offsets (out to
 # 8.1e4), and `_ridgeline_starts` scans a two-component mixture's ridgeline
@@ -380,6 +376,16 @@ def _softmax(a: np.ndarray) -> np.ndarray:
 def _row_norms(s: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis: the bits of `np.linalg.norm(s, axis=-1)` for up to 7 entries."""
     return np.sqrt(_last_sum(s * s))
+
+
+def _vector_norms(v: np.ndarray) -> np.ndarray:
+    """Norms of the rows of a (B, n) array with the bits of `np.linalg.norm(row)`, which `_row_norms` can miss."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def _distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of an (n, d) array, as (n, n), by `_vector_norms`."""
+    return _vector_norms((points[:, None] - points[None]).reshape(-1, points.shape[1])).reshape(len(points), -1)
 
 
 def _weighted_gram(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -821,10 +827,14 @@ def _reference(mixture: Mixture) -> int:
     return int(np.argmax(mixture.weights))
 
 
-def _classify(solver: _LogSolver, xs: np.ndarray, config: SolverConfig) -> list[CriticalPoint]:
+def _classify(
+    solver: _LogSolver, xs: np.ndarray, config: SolverConfig, diameters: Sequence[float]
+) -> list[CriticalPoint]:
     """Classify each of the (B, d) points, critical or not; callers apply `grad_accept_tol`.
 
-    A single Gaussian has no ratio system, so its points carry no reduced
+    Every quantity is taken for the whole batch as an array, and each point
+    is built from its row, with its `cluster_diameter` from `diameters`.  A
+    single Gaussian has no ratio system, so its points carry no reduced
     coordinates.
     """
     log_f, grad, hess = solver.relative_derivatives(xs)
@@ -843,29 +853,25 @@ def _classify(solver: _LogSolver, xs: np.ndarray, config: SolverConfig) -> list[
     images, _, _ = solver.x_batch(log_y)
     s = _centre(log_y - solver.component_terms(images)[0], charts)
     reduced_residuals = _row_norms(-np.exp(log_y) * np.expm1(-s))
-    reference = _reference(solver.mixture) if solver.mixture.n_components >= 2 else None
-    points = []
-    for i, x in enumerate(xs):
-        reduced_coords = reduced_residual = reduced_reference = None
-        if reference is not None:
-            reduced_residual, reduced_reference = float(reduced_residuals[i]), int(charts[i])
-            with np.errstate(over="ignore"):
-                reduced_coords = np.exp(np.delete(log_y[i] - log_y[i, reference], reference))
-        points.append(CriticalPoint(
-            location=np.array(x, dtype=float),
-            density=float(np.exp(log_f[i])),
-            log_density=float(log_f[i]),
-            gradient_residual=float(np.linalg.norm(grad[i])),
-            morse_index=int(np.count_nonzero(eigs[i] < 0.0)),
-            eig_ratio=float(eig_ratios[i]),
-            degenerate=bool(eig_ratios[i] < config.degeneracy_tol),
-            hessian_eigenvalues=tuple(float(v) for v in eigs[i]),
-            mean_shift_residual=float(np.linalg.norm(images[i] - x)),
-            reduced_coords=reduced_coords,
-            reduced_residual=reduced_residual,
-            reduced_reference=reduced_reference,
-        ))
-    return points
+    grad_norms, shifts = _vector_norms(grad), _vector_norms(images - xs)
+    reference, ratios = _reference(solver.mixture), solver.mixture.n_components >= 2
+    with np.errstate(over="ignore"):
+        reduced = np.exp(np.delete(log_y - log_y[:, reference, None], reference, axis=1))
+    return [CriticalPoint(
+        location=np.array(x, dtype=float),
+        density=float(np.exp(log_f[i])),
+        log_density=float(log_f[i]),
+        gradient_residual=float(grad_norms[i]),
+        morse_index=int(np.count_nonzero(eigs[i] < 0.0)),
+        eig_ratio=float(eig_ratios[i]),
+        degenerate=bool(eig_ratios[i] < config.degeneracy_tol),
+        hessian_eigenvalues=tuple(float(v) for v in eigs[i]),
+        mean_shift_residual=float(shifts[i]),
+        reduced_coords=reduced[i] if ratios else None,
+        reduced_residual=float(reduced_residuals[i]) if ratios else None,
+        cluster_diameter=float(diameters[i]),
+        reduced_reference=int(charts[i]) if ratios else None,
+    ) for i, x in enumerate(xs)]
 
 
 def polish_critical(mixture: Mixture, x: np.ndarray) -> np.ndarray:
@@ -880,7 +886,7 @@ def classify(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None
     the configured tolerance.
     """
     config = config or SolverConfig()
-    point = _classify(_LogSolver(mixture), mixture._check_point(x)[None], config)[0]
+    point = _classify(_LogSolver(mixture), mixture._check_point(x)[None], config, [0.0])[0]
     if not point.gradient_residual <= config.grad_accept_tol:
         raise ValueError(
             f"point is not critical: relative gradient norm {point.gradient_residual:.3e} "
@@ -903,12 +909,10 @@ def _cluster(
     of its representative in that array.  The prior rows are returned as
     given, so a representative does not move when later roots join it.
 
-    The prior rows claim in one pass: each candidate goes to the first prior
-    row within its radius, from one (prior x candidates) distance matrix,
-    taken in blocks of candidates to bound its memory.  The greedy loop then
-    runs once per new representative: the first unlabelled candidate becomes
-    the next one and labels every later unlabelled candidate within its
-    radius, which is the same assignment.
+    One claim loop serves both: each prior row claims in turn, then the
+    first unlabelled candidate becomes the next representative and claims
+    every later unlabelled candidate within its radius, which is the same
+    assignment.
     """
     points = np.array(candidates, dtype=float)
     order = np.lexsort(points.T[::-1])      # first coordinate is the primary key
@@ -919,20 +923,12 @@ def _cluster(
 
     def claim(r: np.ndarray, label: int) -> None:
         later = np.flatnonzero(free)
-        hits = later[_row_norms(ordered[later] - r) <= tol * (1.0 + np.linalg.norm(r))]
+        hits = later[_row_norms(ordered[later] - r) <= tol * (1.0 + _vector_norms(r[None])[0])]
         labels[order[hits]] = label
         free[hits] = False
 
-    if len(prior) and len(points):
-        # |r| as the dot product r.r that `np.linalg.norm(r)` takes, row by row
-        radii = tol * (1.0 + np.sqrt(np.matmul(prior[:, None, :], prior[:, :, None])[:, 0, 0]))
-        block = max(1, _CLUSTER_BLOCK // (len(prior) * points.shape[1]))
-        for lo in range(0, len(points), block):
-            diff = ordered[None, lo:lo + block] - prior[:, None]
-            within = _row_norms(diff) <= radii[:, None]
-            hits = np.flatnonzero(within.any(axis=0))
-            labels[order[lo + hits]] = within[:, hits].argmax(axis=0)
-            free[lo + hits] = False
+    for label, r in enumerate(prior):
+        claim(r, label)
     chosen: list[int] = []
     while free.any():
         pos = int(np.argmax(free))          # every candidate before it is labelled
@@ -944,32 +940,31 @@ def _cluster(
 
 
 def _dedup_points(candidates: np.ndarray, solver: _LogSolver, config: SolverConfig) -> tuple[tuple, int]:
-    """Cluster near-identical locations; keep each cluster's best-classified member.
+    """Cluster near-identical locations; keep and classify each cluster's best member.
 
     The best member passes the gradient test with the smallest gradient
-    residual, the first in lexicographic order on ties; `cluster_diameter`
-    spans every member.  Returns the points and how many candidates pass.
+    residual, the first in lexicographic order on ties, chosen from one
+    batch of gradient norms; a cluster with no passing member is dropped.
+    Only the kept rows are classified, each with the `cluster_diameter` of
+    all its cluster's members.  Returns the points and how many candidates
+    pass.
     """
     if not len(candidates):
         return (), 0
     members = np.array(candidates)
-    members = members[np.lexsort(members.T[::-1])]      # so `min` keeps the first on ties
+    members = members[np.lexsort(members.T[::-1])]      # so ties keep the first
     _, labels = _cluster(members, config.dedup_tol)
-    classified = _classify(solver, members, config)
-    accepted = [p.gradient_residual <= config.grad_accept_tol for p in classified]
-    points: list[CriticalPoint] = []
-    for label in range(labels.max() + 1):
-        critical = [p for p, at, ok in zip(classified, labels, accepted) if at == label and ok]
-        if not critical:
-            continue
-        best = min(critical, key=lambda cp: cp.gradient_residual)
-        cluster = members[labels == label]
-        diameter = float(np.linalg.norm(cluster[:, None] - cluster[None], axis=-1).max())
-        points.append(replace(best, cluster_diameter=diameter))
+    residuals = _vector_norms(solver.relative_gradient(members)[0])
+    passing = np.flatnonzero(residuals <= config.grad_accept_tol)
+    # by label, then residual; lexsort is stable, so ties keep the lower row
+    ranked = passing[np.lexsort((residuals[passing], labels[passing]))]
+    kept = ranked[np.unique(labels[ranked], return_index=True)[1]]
+    diameters = [_distances(members[labels == labels[i]]).max() for i in kept]
+    points = _classify(solver, members[kept], config, diameters)
     # rounded first, so mirror points whose coordinates tie to the last ulps
     # keep their order under rounding-level changes in the solver
     points.sort(key=lambda p: (tuple(np.round(p.location, 9)), tuple(p.location)))
-    return tuple(points), sum(accepted)
+    return tuple(points), len(passing)
 
 
 def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -> SolveReport:
@@ -980,7 +975,9 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     log-density slope on [min mu, max mu] (`_segment_starts`) for d = 1,
     the ridgeline function (`_ridgeline_starts`) for k = 2.  `n_starts`
     counts the roots, `n_converged` those polished to `grad_accept_tol`.
-    Two roots in one grid cell are missed.
+    Two roots in one grid cell are missed.  On either route dedup keeps one
+    polished root per cluster, and only the kept roots are classified (see
+    `_dedup_points`).
 
     Otherwise damped Newton runs on the log-ratio system, each start in the
     chart of its dominant component (see `_LogSolver`), and the converged

@@ -231,6 +231,14 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, pair_file):
               "--sep-factor", value, "--out", out_path],
              f"separation factor must be finite, got {value}"),
         ]
+    # a finite factor whose distance squared overflows failed as a non-finite component mean
+    cases += [
+        (["construct", "pad", "--base", pair_file, "--sep-factor", "1e308", "--out", out_path],
+         "separation factor 1e+308 is too large"),
+        (["construct", "recipe", "--seeds", "1,2,2", "--d", "2", "--k", "3",
+          "--sep-factor", "1e308", "--out", out_path],
+         "separation factor 1e+308 is too large"),
+    ]
     for argv, message in cases:
         code, out, err = run(capsys, argv)
         assert code == EXIT_INPUT and out == "" and err.startswith("error:"), argv

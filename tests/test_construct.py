@@ -250,6 +250,10 @@ def test_padding_spec_validation():
         # inf overflowed to a nan center, and both failed as a non-finite component mean
         with pytest.raises(ValueError, match="separation factor must be finite"):
             PaddingSpec(count=1, separation_factor=factor)
+    # a finite factor puts the pair's padding at distance 1.4e301, whose
+    # square overflowed with a RuntimeWarning in the candidate's component terms
+    with pytest.raises(ValueError, match="separation factor 1e\\+300 is too large"):
+        pad_remote(pair_1d(), PaddingSpec(count=1, separation_factor=1e300))
     with pytest.raises(ValueError):
         PaddingSpec(count=1, weight_theta=0.6)
     spec = PaddingSpec(count=2)

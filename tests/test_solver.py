@@ -29,7 +29,7 @@ from modecount.construct import REALIZE_EPSILON, radial_critical_roots, simplex_
 from modecount.mixture import affine_rank, logsumexp, reduce_homoscedastic
 from modecount.solver import (
     _chord_slopes, _chord_starts, _cluster, _dedup_points, _halvings_per_round, _last_max, _last_sum, _LogSolver,
-    _restrict_to_chords, _softmax,
+    _restrict_to_chords, _softmax, _vector_norms,
 )
 
 from conftest import (
@@ -1374,6 +1374,21 @@ def test_dedup_keeps_best_member_and_cluster_diameter():
     best_mode = min(mode, key=lambda x: classify(m, x).gradient_residual)
     assert np.array_equal(top.location, best_mode)
     assert top.cluster_diameter == pytest.approx(1e-12, rel=1e-3)
+    # a lone non-critical candidate is its own cluster, and is dropped
+    points, accepted = _dedup_points(saddle + mode + [np.array([1.0])], _LogSolver(m), SolverConfig())
+    assert len(points) == 2 and accepted == 5
+    # no candidate passes: no cluster is kept
+    assert _dedup_points([np.array([1.0]), np.array([5e-7])], _LogSolver(m), SolverConfig()) == ((), 0)
+
+
+def test_vector_norms_match_numpy_norm_per_row():
+    rng = np.random.default_rng(45)
+    for d in range(1, 9):
+        rows = rng.standard_normal((400, d)) * 10.0 ** rng.uniform(-20.0, 0.0, size=(400, 1))
+        rows[:3] = 0.0
+        got = _vector_norms(rows)
+        assert all(got[i] == np.linalg.norm(row) for i, row in enumerate(rows)), d
+        assert np.array_equal(got[:3], np.zeros(3))
 
 
 def test_dedup_orders_mirror_points_by_rounded_location():
