@@ -45,7 +45,6 @@ from .construct import (
 )
 from .mixture import (
     AffineMap,
-    GaussianComponent,
     Mixture,
     MixtureFormatError,
     affine_rank,
@@ -71,7 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # mixture core
-    "GaussianComponent", "Mixture", "MixtureFormatError", "AffineMap",
+    "Mixture", "MixtureFormatError", "AffineMap",
     "tilt", "affine_rank", "reduce_homoscedastic",
     "mixture_from_dict", "mixture_to_dict", "read_mixture", "write_mixture",
     # bounds

@@ -218,7 +218,7 @@ def _ball_certifies_mode(solver: _LogSolver, center: np.ndarray, radius: float,
 
 
 def _max_std(mixture: Mixture) -> float:
-    return math.sqrt(max(float(np.linalg.eigvalsh(c)[-1]) for c in mixture.covariances))
+    return math.sqrt(float(np.linalg.eigvalsh(mixture.covariances)[:, -1].max()))
 
 
 def pad_remote(

@@ -1,7 +1,9 @@
 """Gaussian mixture representation and a numerically stable logsumexp.
 
-Provides the core `Mixture` type (validated SPD covariances, cached
-precisions), the max-shifted `logsumexp` the package evaluates with,
+Provides the core `Mixture` type, which holds a mixture as validated
+read-only stacked arrays (weights, means, SPD covariances, and the
+precisions and log normalizing constants computed from them once), the
+max-shifted `logsumexp` the package evaluates with,
 exponential tilting, the affine rank of the component means, and the
 homoscedastic reduction onto the affine hull of the means.  The density
 and its derivatives are evaluated by the solver's `_LogSolver`.  All
@@ -12,13 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "GaussianComponent",
     "Mixture",
     "AffineMap",
     "tilt",
@@ -100,90 +100,74 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
-
-
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One weighted Gaussian: weight alpha, mean mu, SPD covariance Sigma.
-
-    The covariance is validated (symmetry to relative tolerance 1e-12,
-    strictly positive spectrum) and its inverse and log-determinant are
-    cached at construction, since evaluation may be called millions of
-    times per solve.
-    """
-
-    weight: float
-    mean: np.ndarray
-    covariance: np.ndarray
-    precision: np.ndarray = field(init=False, repr=False, compare=False)
-    log_det_cov: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        weight = float(self.weight)
-        if not weight > 0.0 or not np.isfinite(weight):
-            raise ValueError(f"component weight must be positive and finite, got {weight}")
-        mean = _readonly(np.atleast_1d(self.mean))
-        if mean.ndim != 1:
-            raise ValueError("component mean must be a vector")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("component mean must be finite")
-        d = mean.shape[0]
-        cov = np.array(self.covariance, dtype=float)
-        if cov.shape != (d, d):
-            raise ValueError(f"covariance shape {cov.shape} does not match dimension {d}")
-        scale = np.abs(cov).max()
-        if scale == 0.0 or not np.isfinite(scale):
-            raise ValueError("covariance must be finite and nonzero")
-        if np.abs(cov - cov.T).max() > COV_SYMMETRY_RTOL * scale:
-            raise ValueError("covariance is not symmetric within relative tolerance 1e-12")
-        cov = _symmetrize(cov)
-        eigval, eigvec = np.linalg.eigh(cov)
-        if eigval.min() <= 0.0:
-            raise ValueError(f"covariance is not positive definite (min eigenvalue {eigval.min():.3e})")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", _readonly(cov))
-        object.__setattr__(self, "precision", _readonly((eigvec / eigval) @ eigvec.T))
-        object.__setattr__(self, "log_det_cov", float(np.log(eigval).sum()))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def log_norm(self) -> float:
-        """log of the Gaussian normalizing constant (2pi)^{-d/2} det(Sigma)^{-1/2}."""
-        return -0.5 * (self.dim * _LOG_2PI + self.log_det_cov)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mixture:
-    """A finite Gaussian mixture density.
+    """A finite Gaussian mixture density, held as stacked read-only arrays.
 
-    Weights are normalized to sum to one at construction.  Components are
-    stored as an immutable tuple; the stacked parameter arrays that the
-    solver evaluates the mixture from are cached lazily.
+    `weights` (k,), `means` (k, d) and `covariances` (k, d, d) are validated
+    and copied at construction.  Weights must be positive and finite, and are
+    normalized to sum to one; means must be finite; each covariance must be
+    finite, nonzero, symmetric to relative tolerance 1e-12 and positive
+    definite, and is stored symmetrized.  `precisions` (k, d, d) and
+    `log_norms` (k,), the logs of the normalizing constants
+    (2pi)^{-d/2} det(Sigma_i)^{-1/2}, come from one batched eigendecomposition
+    of the covariance stack, since the solver evaluates the mixture from
+    these arrays millions of times per solve.  Mixtures compare and hash by
+    identity (`eq=False`): two mixtures built from equal parameters are not
+    `==`.
     """
 
-    components: tuple[GaussianComponent, ...]
+    weights: np.ndarray
+    means: np.ndarray
+    covariances: np.ndarray
+    precisions: np.ndarray = field(init=False, repr=False)
+    log_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if not comps:
+        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        means = np.atleast_2d(np.asarray(self.means, dtype=float))
+        if means.shape[0] != w.shape[0]:
+            raise ValueError("weights and means disagree on the component count")
+        if w.ndim != 1:
+            raise ValueError("weights must be a vector")
+        if w.shape[0] == 0:
             raise ValueError("mixture needs at least one component")
-        d = comps[0].dim
-        if any(c.dim != d for c in comps):
-            raise ValueError("all components must share one dimension")
-        total = sum(c.weight for c in comps)
+        _check_weights(w)
+        if means.ndim != 2:
+            raise ValueError("component mean must be a vector")
+        if not np.all(np.isfinite(means)):
+            raise ValueError("component mean must be finite")
+        d = means.shape[1]
+        covs = [np.asarray(c, dtype=float) for c in self.covariances]
+        if len(covs) != w.shape[0]:
+            raise ValueError("weights and covariances disagree on the component count")
+        shape = next((c.shape for c in covs if c.shape != (d, d)), None)
+        if shape is not None:
+            raise ValueError(f"covariance shape {shape} does not match dimension {d}")
+        covs = np.array(covs)
+        scale = np.abs(covs).max(axis=(1, 2))
+        if not np.all((scale > 0.0) & np.isfinite(scale)):
+            raise ValueError("covariance must be finite and nonzero")
+        if np.any(np.abs(covs - covs.swapaxes(1, 2)).max(axis=(1, 2)) > COV_SYMMETRY_RTOL * scale):
+            raise ValueError("covariance is not symmetric within relative tolerance 1e-12")
+        covs = 0.5 * (covs + covs.swapaxes(1, 2))
+        eigval, eigvec = np.linalg.eigh(covs)
+        low = eigval[:, 0]
+        if np.any(low <= 0.0):
+            raise ValueError(f"covariance is not positive definite (min eigenvalue {low[low <= 0.0][0]:.3e})")
+        # Python's sum, not np.sum, which sums 8 or more entries pairwise and
+        # would move the bits of the normalized weights
+        total = sum(w.tolist())
         if not np.isfinite(total) or total <= 0.0:
             raise ValueError("component weights must have a positive finite sum")
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            comps = tuple(
-                GaussianComponent(c.weight / total, c.mean, c.covariance) for c in comps
-            )
-        object.__setattr__(self, "components", comps)
+            w = w / total
+            _check_weights(w)
+        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "means", _readonly(means))
+        object.__setattr__(self, "covariances", _readonly(covs))
+        object.__setattr__(self, "precisions", _readonly((eigvec / eigval[:, None, :]) @ eigvec.swapaxes(1, 2)))
+        object.__setattr__(self, "log_norms", _readonly(-0.5 * (d * _LOG_2PI + np.log(eigval).sum(axis=1))))
 
     @classmethod
     def from_arrays(
@@ -203,61 +187,29 @@ class Mixture:
         shared_covariance : (d, d) SPD matrix used for every component;
             mutually exclusive with `covariances`.
         """
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        m = np.atleast_2d(np.asarray(means, dtype=float))
-        if m.shape[0] != w.shape[0]:
-            raise ValueError("weights and means disagree on the component count")
         if (covariances is None) == (shared_covariance is None):
             raise ValueError("give exactly one of covariances / shared_covariance")
         if shared_covariance is not None:
-            shared = np.asarray(shared_covariance, dtype=float)
-            covs = [shared] * w.shape[0]
-        else:
-            covs = [np.asarray(c, dtype=float) for c in covariances]
-            if len(covs) != w.shape[0]:
-                raise ValueError("weights and covariances disagree on the component count")
-        return cls(tuple(GaussianComponent(wi, mi, ci) for wi, mi, ci in zip(w, m, covs)))
+            covariances = [shared_covariance] * len(np.atleast_1d(weights))
+        return cls(weights, means, covariances)
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.means.shape[1]
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.weights.shape[0]
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return _readonly([c.weight for c in self.components])
-
-    @cached_property
-    def means(self) -> np.ndarray:
-        return _readonly([c.mean for c in self.components])
-
-    @cached_property
-    def covariances(self) -> np.ndarray:
-        return _readonly([c.covariance for c in self.components])
-
-    @cached_property
-    def precisions(self) -> np.ndarray:
-        return _readonly([c.precision for c in self.components])
-
-    @cached_property
+    @property
     def log_weights(self) -> np.ndarray:
         return _readonly(np.log(self.weights))
 
-    @cached_property
-    def log_norms(self) -> np.ndarray:
-        return _readonly([c.log_norm for c in self.components])
-
     def is_homoscedastic(self) -> bool:
         """True iff all covariances agree entrywise within relative tolerance HOMOSCEDASTIC_RTOL."""
-        ref = self.components[0].covariance
-        for c in self.components[1:]:
-            denom = max(np.abs(ref).max(), np.abs(c.covariance).max())
-            if np.abs(c.covariance - ref).max() > HOMOSCEDASTIC_RTOL * denom:
-                return False
-        return True
+        covs = self.covariances
+        scale = np.maximum(np.abs(covs[0]).max(), np.abs(covs).max(axis=(1, 2)))
+        return bool(np.all(np.abs(covs - covs[0]).max(axis=(1, 2)) <= HOMOSCEDASTIC_RTOL * scale))
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -266,6 +218,12 @@ class Mixture:
         if not np.all(np.isfinite(x)):
             raise ValueError("point must be finite")
         return x
+
+
+def _check_weights(w: np.ndarray) -> None:
+    bad = ~(np.isfinite(w) & (w > 0.0))
+    if bad.any():
+        raise ValueError(f"component weight must be positive and finite, got {float(w[bad][0])}")
 
 
 # -- module-level operations ------------------------------------------------
@@ -287,12 +245,7 @@ def tilt(mixture: Mixture, c: np.ndarray) -> Mixture:
     sigma_c = np.einsum("kij,j->ki", mixture.covariances, c)
     log_w = mixture.log_weights + mixture.means @ c + 0.5 * (c @ sigma_c.T)
     log_w = log_w - logsumexp(log_w)
-    new_means = mixture.means + sigma_c
-    comps = tuple(
-        GaussianComponent(float(np.exp(lw)), mu, comp.covariance)
-        for lw, mu, comp in zip(log_w, new_means, mixture.components)
-    )
-    return Mixture(comps)
+    return Mixture(np.exp(log_w), mixture.means + sigma_c, mixture.covariances)
 
 
 def affine_rank(means: Sequence[np.ndarray] | np.ndarray) -> int:
@@ -418,7 +371,7 @@ def mixture_to_dict(mixture: Mixture) -> dict:
         "means": mixture.means.tolist(),
     }
     covs = mixture.covariances
-    if all(np.array_equal(c, covs[0]) for c in covs[1:]):
+    if np.all(covs == covs[0]):
         doc["shared_covariance"] = covs[0].tolist()
     else:
         doc["covariances"] = covs.tolist()

@@ -149,21 +149,19 @@ def build_reduced(mixture, reference=None):
     if not 0 <= ref < k:
         raise ValueError(f"reference index {ref} out of range for {k} components")
     free = tuple(i for i in range(k) if i != ref)
-    comps = mixture.components
-    cref = comps[ref]
-    a_ref = cref.precision
-    a_ref_mu = a_ref @ cref.mean
+    w, mu, prec = mixture.weights.tolist(), mixture.means, mixture.precisions
+    # log-determinants taken here, not from the mixture's log_norms, so the
+    # oracle does not share that computation with `_LogSolver`
+    log_det = [np.log(np.linalg.eigh(c)[0]).sum() for c in mixture.covariances]
+    a_ref = prec[ref]
+    a_ref_mu = a_ref @ mu[ref]
     log_betas = np.array([
-        math.log(comps[i].weight) - math.log(cref.weight)
-        + 0.5 * (cref.log_det_cov - comps[i].log_det_cov)
+        math.log(w[i]) - math.log(w[ref]) + 0.5 * (log_det[ref] - log_det[i])
         for i in free
     ])
-    quad = np.array([a_ref - comps[i].precision for i in free])
-    lin = np.array([comps[i].precision @ comps[i].mean - a_ref_mu for i in free])
-    const = np.array([
-        0.5 * (cref.mean @ a_ref_mu - comps[i].mean @ comps[i].precision @ comps[i].mean)
-        for i in free
-    ])
+    quad = np.array([a_ref - prec[i] for i in free])
+    lin = np.array([prec[i] @ mu[i] - a_ref_mu for i in free])
+    const = np.array([0.5 * (mu[ref] @ a_ref_mu - mu[i] @ prec[i] @ mu[i]) for i in free])
     return ReducedSystem(
         mixture=mixture, reference=ref, free=free,
         log_betas=log_betas, quad=quad, lin=lin, const=const,

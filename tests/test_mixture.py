@@ -50,12 +50,48 @@ def test_rejects_bad_parameters():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="mean must be finite"):
             Mixture.from_arrays([0.5, 0.5], [[bad], [1.0]], shared_covariance=np.eye(1))
+    # each weight is finite but the total overflows; a weight that is positive
+    # only before normalization underflows to zero after it
+    with pytest.raises(ValueError, match="positive finite sum"):
+        Mixture.from_arrays([1e308, 1e308], [[0.0], [1.0]], shared_covariance=np.eye(1))
+    with pytest.raises(ValueError, match=r"positive and finite, got 0\.0$"):
+        Mixture.from_arrays([1e-320, 1e300], [[0.0], [1.0]], shared_covariance=np.eye(1))
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match="not symmetric within relative tolerance 1e-12"):
+        Mixture.from_arrays([0.5, 0.5], np.zeros((2, 2)), [eye, [[1.0, 0.5], [0.3, 1.0]]])
+    with pytest.raises(ValueError, match=r"not positive definite \(min eigenvalue -1\.000e\+00\)"):
+        Mixture.from_arrays([0.3, 0.3, 0.4], np.zeros((3, 2)), [eye, eye, [[1.0, 2.0], [2.0, 1.0]]])
+    with pytest.raises(ValueError, match=r"covariance shape \(2, 2\) does not match dimension 1"):
+        Mixture.from_arrays([0.5, 0.5], [[0.0], [1.0]], shared_covariance=eye)
+    with pytest.raises(ValueError, match=r"covariance shape \(3, 3\) does not match dimension 2"):
+        Mixture.from_arrays([0.5, 0.5], np.zeros((2, 2)), [eye, np.eye(3)])
+    with pytest.raises(ValueError, match="covariance must be finite and nonzero"):
+        Mixture.from_arrays([1.0], [[0.0, 0.0]], shared_covariance=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="mixture needs at least one component"):
+        Mixture.from_arrays([], np.zeros((0, 1)), shared_covariance=np.eye(1))
+    with pytest.raises(ValueError, match="weights must be a vector"):
+        Mixture.from_arrays([[1.0, 1.0]], [[0.0]], shared_covariance=np.eye(1))
 
 
 def test_component_arrays_are_readonly():
-    m = Mixture.from_arrays([1.0], [[0.0, 0.0]], shared_covariance=np.eye(2))
-    with pytest.raises(ValueError):
-        m.components[0].mean[0] = 1.0
+    weights, means, covs = np.array([1.0, 3.0]), np.zeros((2, 2)), np.array([np.eye(2), 2.0 * np.eye(2)])
+    m = Mixture.from_arrays(weights, means, covs)
+    for name in ("weights", "means", "covariances", "precisions", "log_weights", "log_norms"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(m, name)[0] = 1.0
+    # the mixture holds copies: changing the caller's arrays changes nothing
+    weights[0], means[0, 0], covs[0, 0, 0] = 5.0, 7.0, 9.0
+    assert m.weights.tolist() == [0.25, 0.75]
+    assert m.means.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert m.covariances.tolist() == [np.eye(2).tolist(), (2.0 * np.eye(2)).tolist()]
+
+
+def test_mixtures_compare_and_hash_by_identity():
+    a = Mixture.from_arrays([0.5, 0.5], [[0.0, 0.0], [1.0, 0.0]], shared_covariance=np.eye(2))
+    b = Mixture.from_arrays([0.5, 0.5], [[0.0, 0.0], [1.0, 0.0]], shared_covariance=np.eye(2))
+    assert (a == b) is False
+    assert a == a
+    assert {a, a, b} == {a, b} and len({a, b}) == 2
 
 
 # -- evaluation against finite differences --------------------------------------

@@ -1513,6 +1513,10 @@ def test_option_surface_is_pinned():
     # a report stores what the solve found; every verdict is computed from it
     assert [f.name for f in dataclasses.fields(SolveReport)] == [
         "mixture", "points", "n_starts", "n_converged", "config"]
+    # a mixture is its stacked arrays; there is no per-component object
+    assert [f.name for f in dataclasses.fields(Mixture)] == [
+        "weights", "means", "covariances", "precisions", "log_norms"]
+    assert not hasattr(Mixture, "components")
     for fn, params in [
         (affine_rank, ["means"]),
         (Mixture.is_homoscedastic, ["self"]),
@@ -1533,7 +1537,7 @@ def test_option_surface_is_pinned():
         "solve_reduced_homoscedastic", "classify", "polish_critical"]
     assert modecount.__all__ == [
         "__version__",
-        "GaussianComponent", "Mixture", "MixtureFormatError", "AffineMap",
+        "Mixture", "MixtureFormatError", "AffineMap",
         "tilt", "affine_rank", "reduce_homoscedastic",
         "mixture_from_dict", "mixture_to_dict", "read_mixture", "write_mixture",
         "BoundValue", "SeedTriple", "SeedRecipe",
