@@ -4,6 +4,12 @@ Every bound is evaluated in arbitrary-precision integer arithmetic; no
 floating point enters any formula.  A `BoundValue` pairs the exact integer
 with a deterministic 3-significant-digit scientific rendering used by the
 table emitters.
+
+Each family is declared once, in one of three tables beside the closed
+forms: `_UPPER` (upper-bound families), `_LOWER` (lower-bound families)
+and `_CROSSOVERS` (crossover searches).  A new family is added there; the
+exported name tuples, the evaluators, the reference tables and the command
+line read it.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Context, ROUND_HALF_EVEN
 from typing import Callable, Iterable, Sequence
@@ -35,18 +42,12 @@ __all__ = [
     "render_table_csv",
 ]
 
-UPPER_FAMILIES = ("AEH", "HET", "AUG", "HOM", "AUG_HOM", "BEST", "BEST_HOM", "CRIT", "CRIT_HOM")
-LOWER_FAMILIES = ("AEH_L", "BIN", "PP", "BEST_L")
-CROSSOVER_KINDS = ("AUG_VS_HET", "AUG_VS_AEH", "PP_VS_BIN")
-
 _RENDER_CTX = Context(prec=3, rounding=ROUND_HALF_EVEN)
 
 
-def _binom(n: int, r: int) -> int:
-    """Binomial coefficient with the convention C(n, r) = 0 outside 0 <= r <= n."""
-    if r < 0 or n < 0 or r > n:
-        return 0
-    return math.comb(n, r)
+def _ints(*values) -> tuple[int, ...]:
+    """The arguments as Python ints; a float or other non-integer raises TypeError."""
+    return tuple(operator.index(v) for v in values)
 
 
 def _render(exact: int) -> str:
@@ -119,31 +120,47 @@ class SeedRecipe:
 
 
 def _u_het(d: int, k: int) -> int:
-    return 2 ** (d + _binom(k - 1, 2)) * (d + 2 * min(d, k - 1) + 1) ** (k - 1)
+    return 2 ** (d + math.comb(k - 1, 2)) * (d + 2 * min(d, k - 1) + 1) ** (k - 1)
 
 
 def _u_aug(d: int, k: int) -> int:
-    return 2 ** _binom(k - 1, 2) * (d + 1) * ((2 * k - 1) * d + 2 * k - 1) ** (k - 1)
+    return 2 ** math.comb(k - 1, 2) * (d + 1) * ((2 * k - 1) * d + 2 * k - 1) ** (k - 1)
 
 
 def _u_aeh(d: int, k: int) -> int:
-    return 2 ** (d + _binom(k, 2)) * (5 + 3 * d) ** k
+    return 2 ** (d + math.comb(k, 2)) * (5 + 3 * d) ** k
 
 
 def _u_hom(r: int, k: int) -> int:
-    return 2 ** (r + _binom(k - 1, 2)) * (r + min(r, k - 1) + 1) ** (k - 1)
+    return 2 ** (r + math.comb(k - 1, 2)) * (r + min(r, k - 1) + 1) ** (k - 1)
 
 
 def _u_aug_hom(k: int) -> int:
-    return 2 ** (_binom(k - 1, 2) + 1) * (2 * k) ** (k - 1)
+    return 2 ** (math.comb(k - 1, 2) + 1) * (2 * k) ** (k - 1)
 
 
 def _u_crit(d: int, k: int) -> int:
-    return 2 ** (_binom(k - 1, 2) + 2) * 5 ** (d - 1) * (6 * d - 2) ** (k - 1)
+    return 2 ** (math.comb(k - 1, 2) + 2) * 5 ** (d - 1) * (6 * d - 2) ** (k - 1)
 
 
 def _u_crit_hom(r: int, k: int) -> int:
-    return 2 ** (_binom(k - 1, 2) + 2) * 4 ** (r - 1) * (4 * r - 1) ** (k - 1)
+    return 2 ** (math.comb(k - 1, 2) + 2) * 4 ** (r - 1) * (4 * r - 1) ** (k - 1)
+
+
+# Upper-bound family -> formula of (d, k).  HOM, BEST_HOM and CRIT_HOM read
+# d as the affine rank r; AUG_HOM depends on k alone.
+_UPPER: dict[str, Callable[[int, int], int]] = {
+    "AEH": _u_aeh,
+    "HET": _u_het,
+    "AUG": _u_aug,
+    "HOM": _u_hom,
+    "AUG_HOM": lambda d, k: _u_aug_hom(k),
+    "BEST": lambda d, k: min(_u_het(d, k), _u_aug(d, k)),
+    "BEST_HOM": lambda d, k: min(_u_hom(d, k), _u_aug(d, k), _u_aug_hom(k)),
+    "CRIT": _u_crit,
+    "CRIT_HOM": _u_crit_hom,
+}
+UPPER_FAMILIES = tuple(_UPPER)
 
 
 def upper_bound(family: str, d: int, k: int | None = None) -> BoundValue:
@@ -155,34 +172,18 @@ def upper_bound(family: str, d: int, k: int | None = None) -> BoundValue:
     accepts `upper_bound("AUG_HOM", k)`.
     """
     family = family.upper()
-    if family not in UPPER_FAMILIES:
+    if family not in _UPPER:
         raise ValueError(f"unknown upper bound family {family!r}")
     if family == "AUG_HOM" and k is None:
         d, k = 1, d
     if k is None:
         raise ValueError("missing component count k")
-    d, k = int(d), int(k)
+    d, k = _ints(d, k)
     if k < 2:
         raise ValueError("upper bounds need k >= 2")
     if d < 1:
         raise ValueError("dimension (or rank) must be >= 1; rank 0 means one critical point")
-    if family == "HET":
-        return BoundValue(_u_het(d, k))
-    if family == "AUG":
-        return BoundValue(_u_aug(d, k))
-    if family == "AEH":
-        return BoundValue(_u_aeh(d, k))
-    if family == "HOM":
-        return BoundValue(_u_hom(d, k))
-    if family == "AUG_HOM":
-        return BoundValue(_u_aug_hom(k))
-    if family == "BEST":
-        return BoundValue(min(_u_het(d, k), _u_aug(d, k)))
-    if family == "BEST_HOM":
-        return BoundValue(min(_u_hom(d, k), _u_aug(d, k), _u_aug_hom(k)))
-    if family == "CRIT":
-        return BoundValue(_u_crit(d, k))
-    return BoundValue(_u_crit_hom(d, k))
+    return BoundValue(_UPPER[family](d, k))
 
 
 def mode_bound_from_critical(u: BoundValue | int) -> BoundValue:
@@ -194,11 +195,11 @@ def mode_bound_from_critical(u: BoundValue | int) -> BoundValue:
 
 
 def _l_aeh(d: int, k: int) -> int:
-    return _binom(k, d) + k
+    return math.comb(k, d) + k
 
 
 def _l_bin(d: int, k: int) -> int:
-    return k + max(_binom(k, r) for r in range(2, min(d, k) + 1))
+    return k + max(math.comb(k, r) for r in range(2, min(d, k) + 1))
 
 
 def _l_pp(d: int, k: int) -> int:
@@ -210,36 +211,48 @@ def _l_pp(d: int, k: int) -> int:
     return best
 
 
+# Lower-bound family -> (least d, formula of (d, k)).
+_LOWER: dict[str, tuple[int, Callable[[int, int], int]]] = {
+    "AEH_L": (2, _l_aeh),
+    "BIN": (2, _l_bin),
+    "PP": (1, _l_pp),
+    "BEST_L": (2, lambda d, k: max(_l_bin(d, k), _l_pp(d, k))),
+}
+LOWER_FAMILIES = tuple(_LOWER)
+
+
 def lower_bound(family: str, d: int, k: int) -> BoundValue:
     """Exact lower bound on the attainable mode count."""
     family = family.upper()
-    if family not in LOWER_FAMILIES:
+    if family not in _LOWER:
         raise ValueError(f"unknown lower bound family {family!r}")
-    d, k = int(d), int(k)
+    d, k = _ints(d, k)
     if k < 2:
         raise ValueError("lower bounds need k >= 2")
-    if family == "PP":
-        if d < 1:
-            raise ValueError("PP needs d >= 1")
-        return BoundValue(_l_pp(d, k))
-    if d < 2:
-        raise ValueError(f"{family} needs d >= 2")
-    if family == "AEH_L":
-        return BoundValue(_l_aeh(d, k))
-    if family == "BIN":
-        return BoundValue(_l_bin(d, k))
-    return BoundValue(max(_l_bin(d, k), _l_pp(d, k)))
+    least_d, formula = _LOWER[family]
+    if d < least_d:
+        raise ValueError(f"{family} needs d >= {least_d}")
+    return BoundValue(formula(d, k))
 
 
 def aim_conjecture(d: int, k: int) -> BoundValue:
     """The conjectural extremal mode count C(d + k - 1, d)."""
-    d, k = int(d), int(k)
+    d, k = _ints(d, k)
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
-    return BoundValue(_binom(d + k - 1, d))
+    return BoundValue(math.comb(d + k - 1, d))
 
 
 # -- crossover searches --------------------------------------------------------
+
+# Crossover kind -> (first d searched, test that the contender has overtaken
+# at (d, k), the kind's row label in reference table 1 or 3).
+_CROSSOVERS: dict[str, tuple[int, Callable[[int, int], bool], str]] = {
+    "AUG_VS_HET": (1, lambda d, k: _u_aug(d, k) <= _u_het(d, k), "d_star"),
+    "AUG_VS_AEH": (1, lambda d, k: _u_aug(d, k) <= _u_aeh(d, k), "d_aeh"),
+    "PP_VS_BIN": (2, lambda d, k: _l_pp(d, k) > _l_bin(d, k), "d_pp"),
+}
+CROSSOVER_KINDS = tuple(_CROSSOVERS)
 
 
 def crossover_dimension(kind: str, k: int, d_max: int = 200) -> int | None:
@@ -251,21 +264,13 @@ def crossover_dimension(kind: str, k: int, d_max: int = 200) -> int | None:
     within d_max.
     """
     kind = kind.upper()
-    if kind not in CROSSOVER_KINDS:
+    if kind not in _CROSSOVERS:
         raise ValueError(f"unknown crossover kind {kind!r}")
-    k, d_max = int(k), int(d_max)
+    k, d_max = _ints(k, d_max)
     if k < 2 or d_max < 1:
         raise ValueError("need k >= 2 and d_max >= 1")
-    if kind == "AUG_VS_HET":
-        start, hit = 1, lambda d: _u_aug(d, k) <= _u_het(d, k)
-    elif kind == "AUG_VS_AEH":
-        start, hit = 1, lambda d: _u_aug(d, k) <= _u_aeh(d, k)
-    else:
-        start, hit = 2, lambda d: _l_pp(d, k) > _l_bin(d, k)
-    for d in range(start, d_max + 1):
-        if hit(d):
-            return d
-    return None
+    start, overtaken, _ = _CROSSOVERS[kind]
+    return next((d for d in range(start, d_max + 1) if overtaken(d, k)), None)
 
 
 # -- seed closure ---------------------------------------------------------------
@@ -295,7 +300,7 @@ def seed_closure_bound(
     the returned recipe is deterministic; the empty list (pure padding) is
     always admissible and gives k modes.
     """
-    d, k = int(d), int(k)
+    d, k = _ints(d, k)
     if d < 1 or k < 2:
         raise ValueError("need d >= 1 and k >= 2")
     triples = family(d, k) if callable(family) else list(family)
@@ -333,17 +338,10 @@ def seed_closure_bound(
 
     # Ties prefer seed-heavy recipes (larger component product, so less
     # padding), then the lexicographically smallest seed list.
-    best = None
-    for comps, modes, witness in suffix(0, d, k):
-        value = k - comps + modes
-        if (
-            best is None
-            or (value, comps) > (best[0], best[1])
-            or ((value, comps) == (best[0], best[1]) and witness < best[2])
-        ):
-            best = (value, comps, witness)
-    assert best is not None
-    best_value, _, best_witness = best
+    best_value, _, best_witness = min(
+        ((k - comps + modes, comps, witness) for comps, modes, witness in suffix(0, d, k)),
+        key=lambda c: (-c[0], -c[1], c[2]),
+    )
     chosen = tuple(SeedTriple(*t) for t in best_witness)
     recipe = SeedRecipe(
         seeds=chosen,
@@ -370,51 +368,31 @@ def table_rows(which: int, d_max: int = 200) -> list[dict]:
     the latter with r > k - 1 carry realizable=False).  Table 3: lower-bound
     crossover dimensions.  Table 4: conjectural count and lower bounds.
     """
+    if which not in (1, 2, 3, 4):
+        raise ValueError("table number must be 1, 2, 3 or 4")
+    if _ints(d_max)[0] < 1:
+        raise ValueError("need k >= 2 and d_max >= 1")
     rows: list[dict] = []
-    if which == 1:
-        for kind, fam in (("AUG_VS_HET", "d_star"), ("AUG_VS_AEH", "d_aeh")):
+    if which in (1, 3):
+        for kind in ("AUG_VS_HET", "AUG_VS_AEH") if which == 1 else ("PP_VS_BIN",):
             for k in CROSSOVER_K_RANGE:
                 d = crossover_dimension(kind, k, d_max)
-                rows.append({"d": None, "k": k, "family": fam,
+                rows.append({"d": None, "k": k, "family": _CROSSOVERS[kind][2],
                              "value": None if d is None else BoundValue(d)})
-    elif which == 2:
-        for d, k in GENERAL_ROWS:
-            for fam, val in (
-                ("M_AIM", aim_conjecture(d, k)),
-                ("BEST", upper_bound("BEST", d, k)),
-                ("HET", upper_bound("HET", d, k)),
-                ("AUG", upper_bound("AUG", d, k)),
-                ("AEH", upper_bound("AEH", d, k)),
-            ):
-                rows.append({"d": d, "k": k, "family": fam, "value": val})
-        for r, k in HOM_ROWS:
-            realizable = r <= k - 1
-            for fam, val in (
-                ("M_AIM", aim_conjecture(r, k)),
-                ("BEST_HOM", upper_bound("BEST_HOM", r, k)),
-                ("HOM", upper_bound("HOM", r, k)),
-                ("AUG", upper_bound("AUG", r, k)),
-                ("AUG_HOM", upper_bound("AUG_HOM", k)),
-            ):
-                rows.append({"d": r, "k": k, "family": fam, "value": val,
-                             "realizable": realizable})
-    elif which == 3:
-        for k in CROSSOVER_K_RANGE:
-            d = crossover_dimension("PP_VS_BIN", k, d_max)
-            rows.append({"d": None, "k": k, "family": "d_pp",
-                         "value": None if d is None else BoundValue(d)})
-    elif which == 4:
-        for d, k in GENERAL_ROWS:
-            for fam, val in (
-                ("M_AIM", aim_conjecture(d, k)),
-                ("AEH_L", lower_bound("AEH_L", d, k)),
-                ("BIN", lower_bound("BIN", d, k)),
-                ("PP", lower_bound("PP", d, k)),
-                ("BEST_L", lower_bound("BEST_L", d, k)),
-            ):
-                rows.append({"d": d, "k": k, "family": fam, "value": val})
+        return rows
+    if which == 2:
+        bound, blocks = upper_bound, [(GENERAL_ROWS, ("BEST", "HET", "AUG", "AEH")),
+                                      (HOM_ROWS, ("BEST_HOM", "HOM", "AUG", "AUG_HOM"))]
     else:
-        raise ValueError("table number must be 1, 2, 3 or 4")
+        bound, blocks = lower_bound, [(GENERAL_ROWS, LOWER_FAMILIES)]
+    for pairs, families in blocks:
+        for d, k in pairs:
+            for fam in ("M_AIM",) + families:
+                value = aim_conjecture(d, k) if fam == "M_AIM" else bound(fam, d, k)
+                row = {"d": d, "k": k, "family": fam, "value": value}
+                if pairs is HOM_ROWS:
+                    row["realizable"] = d <= k - 1
+                rows.append(row)
     return rows
 
 
@@ -450,13 +428,11 @@ def render_table_text(which: int, d_max: int = 200) -> str:
     """Aligned plain-text rendering mirroring the printed table layout."""
     rows = table_rows(which, d_max)
     if which in (1, 3):
-        ks = [str(r["k"]) for r in rows if r["family"] in ("d_star", "d_pp")]
-        lines = []
-        for fam in dict.fromkeys(r["family"] for r in rows):
-            vals = [("-" if r["value"] is None else str(r["value"].exact))
-                    for r in rows if r["family"] == fam]
-            lines.append([fam] + vals)
-        return _format_grid(["k"] + ks, lines)
+        by_label: dict[str, list[str]] = {}
+        for r in rows:
+            by_label.setdefault(r["family"], [r["family"]]).append(
+                "-" if r["value"] is None else str(r["value"].exact))
+        return _format_grid(["k"] + [str(k) for k in CROSSOVER_K_RANGE], list(by_label.values()))
 
     blocks: dict[tuple, dict] = {}
     for r in rows:

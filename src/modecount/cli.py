@@ -8,8 +8,8 @@ Subcommands return 0, 1 or 3 and raise on failure; `main` alone maps the
 exceptions to exit codes.  A failed recipe verification or remote padding
 exits 1, and any `ValueError` or `OSError` is an input error, exit 2: among
 them an unreadable or malformed input file, an unwritable `--out` and an
-out-of-range `--dmax`.  Each error prints one line to stderr, never a
-traceback.
+out-of-range `--dmax` or `--claim`.  Each error prints one line to stderr,
+never a traceback.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from .bounds import (
+    CROSSOVER_K_RANGE,
     CROSSOVER_KINDS,
     LOWER_FAMILIES,
     UPPER_FAMILIES,
@@ -37,7 +38,6 @@ from .bounds import (
     upper_bound,
 )
 from .construct import (
-    DEFAULT_EPSILON,
     PAD_BOUNDARY_SEED,
     REALIZE_EPSILON,
     TILT_MAGNITUDE,
@@ -157,6 +157,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         value = aim_conjecture(d, k)
     elif family in UPPER_FAMILIES:
         value = upper_bound(family, d, k)
+        if family == "AUG_HOM" and k is None:   # the k-only form: its one number is k
+            d, k = None, d
     elif family in LOWER_FAMILIES:
         if k is None:
             raise ValueError("lower bounds need both d and k")
@@ -181,7 +183,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "config": _config_echo(args),
     }
     text = f"{label}(d={d}, k={k}) = {value.exact}  [{value.rendered}]\n"
-    csv = "d,k,family,exact,rendered\n" + f"{d},{'' if k is None else k},{label},{value.exact},{value.rendered}\n"
+    csv = "d,k,family,exact,rendered\n" + f"{'' if d is None else d},{'' if k is None else k},{label},{value.exact},{value.rendered}\n"
     _emit(doc, args.output, text=text, csv=csv)
     return EXIT_OK
 
@@ -216,7 +218,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     kind = args.kind.upper()
     if kind not in CROSSOVER_KINDS:
         raise ValueError(f"unknown crossover kind '{args.kind}'; choose from {', '.join(CROSSOVER_KINDS)}")
-    ks = [args.k] if args.k is not None else list(range(2, 12))
+    ks = [args.k] if args.k is not None else list(CROSSOVER_K_RANGE)
     rows = [{"kind": kind, "k": k, "d": crossover_dimension(kind, k, d_max=args.dmax)} for k in ks]
     doc = {"command": "crossover", "rows": rows, "config": _config_echo(args)}
     text_lines = [f"{kind}: smallest d where the contender overtakes (searched d <= {args.dmax})"]
@@ -269,7 +271,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "simplex":
         if args.K is None:
             raise ValueError("construct simplex needs --K")
-        eps = DEFAULT_EPSILON if args.eps is None else args.eps
+        eps = REALIZE_EPSILON if args.eps is None else args.eps
         mixture, expected = simplex_seed(args.K, eps)
         provenance = {
             "kind": "simplex",
@@ -346,6 +348,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.claim < 0:
+        raise ValueError(f"claimed mode count must be >= 0, got {args.claim}")
     config = _solver_config(args)
     report = find_critical_points(read_mixture(args.file), config)
     degenerate_present = any(p.degenerate for p in report.points)
@@ -415,8 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"solve beyond the default d <= {MAX_DIM}, k <= {MAX_COMPONENTS} limits")
 
     p_bounds = sub.add_parser("bounds", help="evaluate one bound family at (d, k)")
-    p_bounds.add_argument("family", help="family name, e.g. BEST, HET, AUG, AEH, BEST_HOM, "
-                                         "CRIT, AUG_HOM, AEH_L, BIN, PP, BEST_L, AIM")
+    p_bounds.add_argument("family", help="family name: "
+                          + ", ".join(UPPER_FAMILIES + LOWER_FAMILIES + ("AIM",)))
     p_bounds.add_argument("d", type=int)
     p_bounds.add_argument("k", type=int, nargs="?", default=None)
     p_bounds.add_argument("--modes", action="store_true",
@@ -432,8 +436,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tables.set_defaults(func=cmd_tables)
 
     p_cross = sub.add_parser("crossover", help="smallest dimension where one bound overtakes another")
-    p_cross.add_argument("kind", help="AUG_VS_HET, AUG_VS_AEH, or PP_VS_BIN")
-    p_cross.add_argument("--k", type=int, default=None, help="single k (default: k = 2..11)")
+    p_cross.add_argument("kind", help=", ".join(CROSSOVER_KINDS))
+    p_cross.add_argument("--k", type=int, default=None,
+                         help=f"single k (default: k = {CROSSOVER_K_RANGE[0]}..{CROSSOVER_K_RANGE[-1]})")
     p_cross.add_argument("--dmax", type=int, default=200)
     add_output(p_cross)
     p_cross.set_defaults(func=cmd_crossover)
@@ -451,8 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--out", required=True, help="output mixture file path")
     p_con.add_argument("--K", type=int, default=None, help="simplex component count")
     p_con.add_argument("--eps", type=float, default=None,
-                       help=f"simplex covariance excess (default {DEFAULT_EPSILON}; "
-                            f"recipes realize at {REALIZE_EPSILON})")
+                       help=f"simplex and recipe covariance excess (default {REALIZE_EPSILON})")
     p_con.add_argument("--base", default=None, help="base mixture file for padding")
     p_con.add_argument("--count", type=int, default=1, help="number of padding components")
     p_con.add_argument("--theta", type=float, default=0.25, help="padding weight in (0, 1/2]")

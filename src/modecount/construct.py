@@ -34,7 +34,6 @@ __all__ = [
     "tilt_polish",
 ]
 
-DEFAULT_EPSILON = 0.1
 REALIZE_EPSILON = 0.05
 TILT_SEED = 0x5EED
 TILT_MAGNITUDE = 1e-3
@@ -82,7 +81,7 @@ def simplex_vertices(n: int) -> np.ndarray:
     return math.sqrt(k / n) * (centered @ q)
 
 
-def simplex_seed(K: int, epsilon: float = DEFAULT_EPSILON) -> tuple[Mixture, int]:
+def simplex_seed(K: int, epsilon: float = REALIZE_EPSILON) -> tuple[Mixture, int]:
     """Equal-weight homoscedastic mixture on regular-simplex vertices.
 
     K components in R^{K-1} with covariance tau*I, tau = (1+epsilon)/(K-1).

@@ -1,5 +1,8 @@
 """Bound-calculator tests: exact integers, published tables, rendering, seeds."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from modecount import (
@@ -113,6 +116,32 @@ def test_critical_point_bounds():
     assert int(mode_bound_from_critical(8)) == 4
 
 
+def test_non_integer_arguments_raise_type_error():
+    # a float is never truncated to an integer d, k or d_max
+    calls = [
+        lambda: upper_bound("HET", 2.7, 3),
+        lambda: upper_bound("HET", 2, 3.0),
+        lambda: upper_bound("AUG_HOM", 3.5),
+        lambda: lower_bound("PP", 10.5, 4),
+        lambda: lower_bound("BIN", 4, 5.0),
+        lambda: aim_conjecture(2.5, 3),
+        lambda: crossover_dimension("AUG_VS_HET", 3.0),
+        lambda: crossover_dimension("AUG_VS_HET", 3, d_max=50.5),
+        lambda: seed_closure_bound(2.9, 4, simplex_family),
+        lambda: seed_closure_bound(2, 4.0, ray_ren_family),
+        lambda: table_rows(1, d_max=5.5),
+        lambda: table_rows(2, d_max=200.0),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="integer"):
+            call()
+    # numpy integers are integers
+    assert int(upper_bound("HET", np.int64(2), np.int64(3))) == 392
+    assert int(lower_bound("PP", np.int32(10), np.int64(4))) == 36
+    assert crossover_dimension("PP_VS_BIN", np.int64(2), np.int64(2)) is None
+    assert seed_closure_bound(np.int64(10), np.int64(4), ray_ren_family)[1].lift_to == 10
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         upper_bound("NOPE", 2, 2)
@@ -219,6 +248,33 @@ def test_table_csv_golden():
     assert csv3[1] == ",2,d_pp,3,3"
 
 
+def test_tables_dmax_below_one_raises_for_every_table():
+    for which in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match="d_max >= 1"):
+            table_rows(which, d_max=0)
+    with pytest.raises(ValueError, match="table number"):
+        table_rows(5, d_max=0)
+
+
+# sha256 of the full text and csv rendering of each table at the default d_max
+TABLE_DIGESTS = {
+    1: ("2840eea95fccf0ab78882aacadedf890dd8ef57a52b73d9c7451a2f1e39b2c92",
+        "feeb9103c58cebc5a6a2e6876db9f42fce3651af76df0ac624ee8417628c7002"),
+    2: ("fb84c8e2e47c6ca7aebd1b8f587f89100ec62aa3a96487aab43cd0b1aa9aa7c3",
+        "1cef18732fa926d4268581b0cb4f9b08678188087e834cecc488f6049b2c92a2"),
+    3: ("9ed0b1b8587510fcd2a5d7f86f11802e576ccecca1c0f54f3db63ba93c58b1a1",
+        "92f74d4bfb5317b5d10b41fa94b001f648ec819d9e139e025855ce193f601af4"),
+    4: ("0d7420fc16909fa34abf0729f32016dcbdc99cfb4ff3566b6d277b9ef9391977",
+        "b3dbc2c915d3a68f53aa0c4b548a6d4809d0949cc3518fbeda4667400d1fbca0"),
+}
+
+
+def test_full_tables_are_pinned():
+    for which, (text_digest, csv_digest) in TABLE_DIGESTS.items():
+        assert hashlib.sha256(render_table_text(which).encode()).hexdigest() == text_digest, which
+        assert hashlib.sha256(render_table_csv(which).encode()).hexdigest() == csv_digest, which
+
+
 def test_table_text_layout():
     text1 = render_table_text(1)
     lines = text1.splitlines()
@@ -305,3 +361,10 @@ def test_family_tuples_exported():
     assert "BEST" in UPPER_FAMILIES and "PP" in LOWER_FAMILIES
     assert set(CROSSOVER_KINDS) == {"AUG_VS_HET", "AUG_VS_AEH", "PP_VS_BIN"}
     assert len(GENERAL_ROWS) == len(HOM_ROWS) == 10
+
+
+def test_family_tuples_keep_their_order():
+    assert UPPER_FAMILIES == (
+        "AEH", "HET", "AUG", "HOM", "AUG_HOM", "BEST", "BEST_HOM", "CRIT", "CRIT_HOM")
+    assert LOWER_FAMILIES == ("AEH_L", "BIN", "PP", "BEST_L")
+    assert CROSSOVER_KINDS == ("AUG_VS_HET", "AUG_VS_AEH", "PP_VS_BIN")

@@ -2,11 +2,20 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from modecount import Mixture, PaddingError, cli, write_mixture
+from modecount import (
+    CROSSOVER_KINDS,
+    LOWER_FAMILIES,
+    UPPER_FAMILIES,
+    Mixture,
+    PaddingError,
+    cli,
+    write_mixture,
+)
 from modecount.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -67,6 +76,22 @@ def test_bounds_modes_flag(capsys):
     assert doc["exact"] == 8 and doc["family"] == "CRIT_MODES"
 
 
+def test_bounds_aug_hom_k_only_form(capsys):
+    # `bounds AUG_HOM 3` reads its one number as k, and reports it as k
+    code, out, _ = run(capsys, ["bounds", "AUG_HOM", "3"])
+    assert code == EXIT_OK
+    assert out.startswith("AUG_HOM(d=None, k=3) = 144  [144]\n")
+    code, out, _ = run(capsys, ["bounds", "AUG_HOM", "3", "--output", "csv"])
+    assert out.splitlines()[2] == ",3,AUG_HOM,144,144"
+    code, out, _ = run(capsys, ["bounds", "AUG_HOM", "3", "--modes", "--output", "json"])
+    doc = json.loads(out)
+    assert (doc["d"], doc["k"], doc["exact"], doc["family"]) == (None, 3, 72, "AUG_HOM_MODES")
+    assert (doc["config"]["d"], doc["config"]["k"]) == (3, None)
+    # with both numbers the first is still reported as d
+    code, out, _ = run(capsys, ["bounds", "AUG_HOM", "2", "3", "--output", "csv"])
+    assert out.splitlines()[2] == "2,3,AUG_HOM,144,144"
+
+
 def test_bounds_input_errors(capsys):
     code, _, err = run(capsys, ["bounds", "NOPE", "2", "2"])
     assert code == EXIT_INPUT and "unknown family" in err
@@ -100,6 +125,13 @@ def test_tables_rerun_byte_identical(capsys):
     _, first, _ = run(capsys, ["tables", "4", "--output", "csv"])
     _, second, _ = run(capsys, ["tables", "4", "--output", "csv"])
     assert first == second
+
+
+def test_tables_dmax_below_one_is_input_error_for_every_table(capsys):
+    for which in ("1", "2", "3", "4"):
+        code, out, err = run(capsys, ["tables", which, "--dmax", "0"])
+        assert code == EXIT_INPUT and out == "", which
+        assert err == "error: need k >= 2 and d_max >= 1\n", which
 
 
 def test_crossover_single_k(capsys):
@@ -330,6 +362,12 @@ def test_cli_fails_a_report_that_breaks_only_the_morse_equality(capsys, pair_fil
     assert doc["morse_inequality_ok"] is True and doc["upper_sandwich_ok"] is True
 
 
+def test_verify_negative_claim_is_input_error(capsys, pair_file):
+    code, out, err = run(capsys, ["verify", pair_file, "--claim", "-3"])
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: claimed mode count must be >= 0, got -3\n"
+
+
 def test_verify_degenerate_is_inconclusive(capsys, tmp_path):
     m = Mixture.from_arrays([0.5, 0.5], [[-1.0], [1.0]], shared_covariance=np.eye(1))
     path = tmp_path / "fold.json"
@@ -362,9 +400,21 @@ def test_construct_simplex_default_epsilon(capsys, tmp_path):
     code, out, _ = run(capsys, ["construct", "simplex", "--K", "4", "--out", out_path,
                                 "--output", "json"])
     assert code == EXIT_OK
-    assert json.loads(out)["provenance"]["epsilon"] == 0.1
+    assert json.loads(out)["provenance"]["epsilon"] == 0.05
     prov = json.loads(open(out_path + ".provenance.json").read())
-    assert prov["epsilon"] == 0.1 and prov["expected_modes"] == 5
+    assert prov["epsilon"] == 0.05 and prov["expected_modes"] == 5
+
+
+def test_construct_simplex_default_builds_every_mode(capsys, tmp_path):
+    # the default epsilon lies inside the K = 3 seed's window (its fold is
+    # near 0.09), so the default build has the center and three ray modes
+    out_path = str(tmp_path / "s3.json")
+    code, out, _ = run(capsys, ["construct", "simplex", "--K", "3", "--out", out_path,
+                                "--output", "json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["provenance"]["expected_modes"] == 4
+    code, out, _ = run(capsys, ["verify", out_path, "--claim", "4"])
+    assert code == EXIT_OK and "verdict: PASS" in out
 
 
 def test_construct_product(capsys, tmp_path, pair_file):
@@ -462,3 +512,15 @@ def test_help_exits_ok(capsys):
     assert main(["--help"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "bounds" in out and "construct" in out
+
+
+def test_help_names_every_family_and_kind(capsys):
+    assert main(["bounds", "--help"]) == EXIT_OK
+    out = capsys.readouterr().out
+    for name in UPPER_FAMILIES + LOWER_FAMILIES + ("AIM",):
+        assert re.search(rf"\b{name}\b", out), name
+    assert main(["crossover", "--help"]) == EXIT_OK
+    out = capsys.readouterr().out
+    for name in CROSSOVER_KINDS:
+        assert re.search(rf"\b{name}\b", out), name
+    assert "k = 2..11" in out
