@@ -89,6 +89,8 @@ class SeedTriple:
     modes: int
 
     def __post_init__(self) -> None:
+        for name, v in zip(("dim", "comps", "modes"), _ints(self.dim, self.comps, self.modes)):
+            object.__setattr__(self, name, v)
         if self.dim < 1 or self.comps < 1 or self.modes < 1:
             raise ValueError("seed triple entries must be positive")
 
@@ -104,6 +106,8 @@ class SeedRecipe:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        for name, v in zip(("lift_to", "pad", "value"), _ints(self.lift_to, self.pad, self.value)):
+            object.__setattr__(self, name, v)
         if self.pad < 0:
             raise ValueError("padding count must be nonnegative")
         if sum(s.dim for s in self.seeds) > self.lift_to:
@@ -187,8 +191,8 @@ def upper_bound(family: str, d: int, k: int | None = None) -> BoundValue:
 
 
 def mode_bound_from_critical(u: BoundValue | int) -> BoundValue:
-    """Mode bound floor((U + 1) / 2) from a critical-point bound."""
-    n = int(u)
+    """Mode bound floor((U + 1) / 2) from a critical-point bound U, a BoundValue or an integer."""
+    (n,) = _ints(u.exact if isinstance(u, BoundValue) else u)
     if n < 0:
         raise ValueError("critical-point bound must be nonnegative")
     return BoundValue((n + 1) // 2)

@@ -439,8 +439,10 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     is restricted once, and a slope then costs O(k) per point instead of the
     O(k d^2) of a d-dimensional gradient.  The grid's t are multiples of
     1/32, so every t the bisection visits is a dyadic rational with
-    denominator at most 2^45, exact in floating point, and the seeds are
-    bit-identical to one halving per slope call.
+    denominator at most 2^25, exact in floating point, and the seeds are
+    bit-identical to one halving per slope call.  A seed only starts Newton,
+    so the brackets are bisected `_SCAN_HALVINGS` times, as on the scalar
+    routes.
     """
     first, second = np.triu_indices(len(reps), 1)
     new = second >= n_old
@@ -450,7 +452,9 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     keep = _row_norms(chords) > 0.0
     origins, chords = origins[keep], chords[keep]
     ts = np.linspace(0.0, 1.0, 33)[1:-1]        # slots 7, 15, 23 are t = 1/4, 1/2, 3/4
-    line, t = _scan_roots(_slope_functions(*_restrict_to_chords(solver, origins, chords)), ts, len(origins), 40)
+    line, t = _scan_roots(
+        _slope_functions(*_restrict_to_chords(solver, origins, chords)), ts, len(origins), _SCAN_HALVINGS
+    )
     quarters = origins[:, None, :] + ts[[7, 15, 23], None] * chords[:, None, :]
     return np.concatenate([quarters.reshape(-1, reps.shape[1]), origins[line] + t[:, None] * chords[line]])
 
@@ -909,10 +913,13 @@ def _cluster(
     of its representative in that array.  The prior rows are returned as
     given, so a representative does not move when later roots join it.
 
-    One claim loop serves both: each prior row claims in turn, then the
-    first unlabelled candidate becomes the next representative and claims
-    every later unlabelled candidate within its radius, which is the same
-    assignment.
+    The prior rows claim in one array pass: each candidate goes to the
+    first prior row within its radius, by squared distances summed
+    coordinate by coordinate as `_row_norms` sums them, in blocks of at most
+    65,536 candidate-prior entries.  The greedy loop then runs once per new
+    representative: the first unlabelled candidate becomes the next one and
+    claims every later unlabelled candidate within its radius, which is the
+    same assignment.
     """
     points = np.array(candidates, dtype=float)
     order = np.lexsort(points.T[::-1])      # first coordinate is the primary key
@@ -921,20 +928,27 @@ def _cluster(
     labels = np.empty(len(points), dtype=int)
     free = np.ones(len(points), dtype=bool)
 
-    def claim(r: np.ndarray, label: int) -> None:
-        later = np.flatnonzero(free)
-        hits = later[_row_norms(ordered[later] - r) <= tol * (1.0 + _vector_norms(r[None])[0])]
-        labels[order[hits]] = label
-        free[hits] = False
-
-    for label, r in enumerate(prior):
-        claim(r, label)
+    if len(prior):
+        radii = tol * (1.0 + _vector_norms(prior))
+        block = max(1, 2 ** 16 // len(prior))
+        for lo in range(0, len(points), block):
+            part = ordered[lo:lo + block]
+            squares = np.zeros((len(prior), len(part)))
+            for x, r in zip(part.T, prior.T):
+                diff = x[None] - r[:, None]
+                squares += diff * diff
+            within = np.sqrt(squares) <= radii[:, None]
+            hits = np.flatnonzero(within.any(axis=0))
+            labels[order[lo + hits]] = within[:, hits].argmax(axis=0)
+            free[lo + hits] = False
     chosen: list[int] = []
     while free.any():
         pos = int(np.argmax(free))          # every candidate before it is labelled
         free[pos] = False
-        labels[order[pos]] = len(prior) + len(chosen)
-        claim(ordered[pos], len(prior) + len(chosen))
+        r, later = ordered[pos], np.flatnonzero(free)
+        hits = later[_row_norms(ordered[later] - r) <= tol * (1.0 + _vector_norms(r[None])[0])]
+        labels[order[pos]] = labels[order[hits]] = len(prior) + len(chosen)
+        free[hits] = False
         chosen.append(pos)
     return np.concatenate([prior, ordered[np.array(chosen, dtype=int)]]), labels
 

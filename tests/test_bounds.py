@@ -114,10 +114,12 @@ def test_critical_point_bounds():
     assert int(mode_bound_from_critical(upper_bound("CRIT", 2, 2))) == (200 + 1) // 2
     assert int(mode_bound_from_critical(7)) == 4
     assert int(mode_bound_from_critical(8)) == 4
+    assert mode_bound_from_critical(BoundValue(7)) == mode_bound_from_critical(7) == BoundValue(4)
 
 
 def test_non_integer_arguments_raise_type_error():
-    # a float is never truncated to an integer d, k or d_max
+    # a float is never truncated to an integer d, k, d_max, critical-point
+    # bound or seed entry
     calls = [
         lambda: upper_bound("HET", 2.7, 3),
         lambda: upper_bound("HET", 2, 3.0),
@@ -131,6 +133,9 @@ def test_non_integer_arguments_raise_type_error():
         lambda: seed_closure_bound(2, 4.0, ray_ren_family),
         lambda: table_rows(1, d_max=5.5),
         lambda: table_rows(2, d_max=200.0),
+        lambda: mode_bound_from_critical(7.9),
+        lambda: SeedTriple(1.5, 2, 2),
+        lambda: SeedRecipe(seeds=(SeedTriple(1, 2, 2),), lift_to=2.0, pad=0, value=2),
     ]
     for call in calls:
         with pytest.raises(TypeError, match="integer"):

@@ -28,8 +28,8 @@ from modecount import solver as solver_module
 from modecount.construct import REALIZE_EPSILON, radial_critical_roots, simplex_seed, tilt_polish
 from modecount.mixture import affine_rank, logsumexp, reduce_homoscedastic
 from modecount.solver import (
-    _chord_slopes, _chord_starts, _cluster, _dedup_points, _halvings_per_round, _last_max, _last_sum, _LogSolver,
-    _restrict_to_chords, _softmax, _vector_norms,
+    _SCAN_HALVINGS, _chord_slopes, _chord_starts, _cluster, _dedup_points, _halvings_per_round, _last_max,
+    _last_sum, _LogSolver, _restrict_to_chords, _softmax, _vector_norms,
 )
 
 from conftest import (
@@ -1149,7 +1149,7 @@ def chord_starts_one_halving_at_a_time(solver, reps, n_old=0):
         t_lo, t_hi = ts[slot], ts[slot + 1]
         f_lo = vals[pair_idx, slot]
         a, direction = origins[pair_idx], chords[pair_idx]
-        for _ in range(40):
+        for _ in range(_SCAN_HALVINGS):
             t_mid = 0.5 * (t_lo + t_hi)
             f_mid = slopes(a, direction, t_mid)
             same = (f_mid > 0.0) == (f_lo > 0.0)
@@ -1161,11 +1161,11 @@ def chord_starts_one_halving_at_a_time(solver, reps, n_old=0):
 
 
 def test_chord_starts_match_one_halving_at_a_time(monkeypatch):
-    # the bisection rounds replay 40 halvings on the signs of slopes
-    # evaluated at every dyadic point they can visit, read once against the
-    # sign of the bracket's left end, so each seed is bit-identical; the
-    # cases hold brackets whose left end has a positive slope and brackets
-    # whose left end has a negative one
+    # the bisection rounds replay 20 halvings (_SCAN_HALVINGS) on the signs
+    # of slopes evaluated at every dyadic point they can visit, read once
+    # against the sign of the bracket's left end, so each seed is
+    # bit-identical; the cases hold brackets whose left end has a positive
+    # slope and brackets whose left end has a negative one
     grids = []
 
     def spy(top, q, vertex, t):
@@ -1181,7 +1181,7 @@ def test_chord_starts_match_one_halving_at_a_time(monkeypatch):
     cases = [
         (sweep0, None, 0, 5),              # one bracket
         (d1k6, None, 0, 1),                # 145 brackets
-        (d1k6, d1k6_roots[:6], 0, 3),      # 20 brackets: 13 rounds of 3, then one of 1
+        (d1k6, d1k6_roots[:6], 0, 3),      # 20 brackets: 6 rounds of 3, then one of 2
         (d1k6, d1k6_roots, 6, 1),          # only the chords that touch the last 5 roots
         (d1k6, d1k6_roots, 10, 3),         # only the chords to the last root
     ]
@@ -1320,7 +1320,7 @@ def cluster_representatives_loop(candidates, tol, prior=()):
     return reps, labels
 
 
-def test_cluster_representatives_matches_loop():
+def test_cluster_representatives_matches_loop(simplex_d5k6):
     rng = np.random.default_rng(44)
     reps, labels = _cluster(np.empty((0, 2)), 1e-6)
     assert reps.shape == (0, 2) and len(labels) == 0
@@ -1354,6 +1354,33 @@ def test_cluster_representatives_matches_loop():
     assert len(got) == len(want) >= 10
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert list(got_labels) == want_labels
+    # restart-round size: the 43 roots of the simplex d5k6 witness as prior,
+    # with shifted copies of six of them put first, so that points between a
+    # copy and its root lie within both radii, and 2,000 candidates, more
+    # than one block of prior claims (65,536 // 49 rows)
+    roots = np.array([p.location for p in simplex_d5k6[1].points])
+    reach = 1e-6 * (1.0 + np.linalg.norm(roots[:6], axis=1))
+    shifts = rng.standard_normal((6, 5))
+    shifts *= (reach / np.linalg.norm(shifts, axis=1))[:, None]
+    prior = np.vstack([roots[:6] + shifts, roots])
+    pick = rng.integers(0, len(roots), size=1300)
+    near = roots[pick] + rng.standard_normal((1300, 5)) * 10.0 ** rng.uniform(-9.0, -5.0, size=(1300, 1))
+    between = (roots[:6] + 0.5 * shifts)[rng.integers(0, 6, size=200)]
+    far = rng.uniform(-3.0, 3.0, size=(200, 5))
+    candidates = np.vstack([near, between, far, roots, near[rng.integers(0, 1300, size=257)]])
+    candidates = candidates[rng.permutation(len(candidates))]
+    assert len(candidates) == 2000 > 65536 // len(prior)
+    got, got_labels = _cluster(candidates, 1e-6, prior=prior)
+    want, want_labels = cluster_representatives_loop(list(candidates), 1e-6, prior)
+    assert len(got) == len(want) > len(prior) and np.array_equal(got[:len(prior)], prior)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert list(got_labels) == want_labels
+    # the shifted copy, first in row order, wins every point between it and its root
+    radii = 1e-6 * (1.0 + np.linalg.norm(prior, axis=1))
+    both = [i for i, x in enumerate(candidates)
+            if any(np.linalg.norm(x - prior[j]) <= radii[j] and np.linalg.norm(x - prior[j + 6]) <= radii[j + 6]
+                   for j in range(6))]
+    assert len(both) >= 100 and all(got_labels[i] < 6 for i in both)
 
 
 def test_dedup_keeps_best_member_and_cluster_diameter():
