@@ -101,9 +101,8 @@ class _LogSolver:
     root's residual can sit far above its tolerance one step from the root.
 
     A Newton step costs one d x d solve (see `residual_and_step_batch`), and
-    when every component has the same precision A, bit for bit, X(u) needs
-    none: M_w = A, so X = sum_j w_j mu_j, and `component_terms` takes every
-    A (X - mu_j) of a row in one (k, d) @ (d, d) product.
+    X(u) none when every component has the same precision A, bit for bit:
+    then M_w = A and X = sum_j w_j mu_j (see `x_batch`).
 
     The batch is an outer dimension of every einsum/matmul; no 2-D BLAS
     call spans rows.  A stacked `np.matmul` makes one small BLAS call per
@@ -114,10 +113,9 @@ class _LogSolver:
     `iterate` and in `polish`, do not depend on which other rows share its
     batch.  `_damped_newton` relies on that when it carries a row's step
     from the batch of one evaluation into the next step.  The reductions
-    along a row's short last axis (the softmax's maximum and sum, the chart
-    maximum, the row tolerances and norms) run through `_last_max` and
-    `_last_sum`, which take each output from its own row's entries in
-    sequence.
+    along a row's short last axis (the softmax's maximum and sum, the row
+    tolerances and norms) run through `_last_max` and `_last_sum`, which
+    take each output from its own row's entries in sequence.
     """
 
     def __init__(self, mixture: Mixture):
@@ -152,15 +150,10 @@ class _LogSolver:
             atimes = np.matmul(self.precisions, diff[..., None])[..., 0]
         return self.log_wn - 0.5 * np.einsum("bki,bki->bk", diff, atimes), atimes
 
-    def chart_coords(self, x: np.ndarray, tie_margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Log-ratios u = L(x) - L_c(x) and chart c for (B, d) points.
-
-        c is the lowest index whose L_c(x) lies within tie_margin * (1 + |max L|)
-        of max L(x); at the default 0 it is argmax L(x).
-        """
+    def chart_coords(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log-ratios u = L(x) - L_c(x) and chart c = argmax L(x), the lowest on ties, for (B, d) points."""
         terms, _ = self.component_terms(x)
-        top = _last_max(terms)[:, None]
-        charts = np.argmax(terms >= top - tie_margin * (1.0 + np.abs(top)), axis=1)
+        charts = np.argmax(terms, axis=1)
         return _centre(terms, charts), charts
 
     def x_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,10 +190,6 @@ class _LogSolver:
         M_w (I - V'U) = M_w - sum_j w_j a_j a_j' = K_w, which at a root is
         -Hess log f, and the Woodbury identity inverts the k x k matrix with
         one d x d solve.  Row c of U is 0, so step_c stays 0.
-
-        The batch is an outer dimension of every einsum/matmul; no 2-D BLAS
-        call spans rows (see `_LogSolver`), so each row's S and step are the
-        bits it gets alone.
         """
         x, w, m_mat = self.x_batch(u)
         terms, atimes = self.component_terms(x)
@@ -232,16 +221,14 @@ class _LogSolver:
 
     def relative_gradient(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """grad f / f for (B, d) points, with the log f, responsibilities and A_i (x - mu_i) it comes from."""
-        terms, atimes = self.component_terms(x)
-        log_f = logsumexp(terms)
-        w = np.exp(terms - log_f[:, None])
-        return -np.einsum("bk,bki->bi", w, atimes), log_f, w, atimes
+        return _relative_gradient(*self.component_terms(x))
 
-    def relative_derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """log f, grad f / f and Hess f / f as (B,), (B, d) and (B, d, d) batches for (B, d) points."""
-        grad, log_f, w, atimes = self.relative_gradient(x)
+    def relative_derivatives(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """log f, grad f / f, Hess f / f and L(x) as (B,), (B, d), (B, d, d) and (B, k) batches for (B, d) points."""
+        terms, atimes = self.component_terms(x)
+        grad, log_f, w, _ = _relative_gradient(terms, atimes)
         hess = _weighted_gram(w, atimes) - self.weighted_precisions(w)
-        return log_f, grad, 0.5 * (hess + hess.transpose(0, 2, 1))
+        return log_f, grad, 0.5 * (hess + hess.transpose(0, 2, 1)), terms
 
     def polish(self, x: np.ndarray) -> np.ndarray:
         """Sharpen approximate critical points, (B, d) rows, in the original coordinates.
@@ -252,7 +239,7 @@ class _LogSolver:
         whatever its index.
         """
         def newton(points: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            _, grad, hess = self.relative_derivatives(points)
+            _, grad, hess, _ = self.relative_derivatives(points)
             return grad, _solve_rows(hess - np.einsum("bi,bj->bij", grad, grad), -grad)
 
         return _damped_newton(x, newton, lambda points, rows: self.relative_gradient(points)[0],
@@ -373,6 +360,13 @@ def _softmax(a: np.ndarray) -> np.ndarray:
     return e / _last_sum(e)[..., None]
 
 
+def _relative_gradient(terms: np.ndarray, atimes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_LogSolver.relative_gradient` from the `component_terms` of its points."""
+    log_f = logsumexp(terms)
+    w = np.exp(terms - log_f[:, None])
+    return -np.einsum("bk,bki->bi", w, atimes), log_f, w, atimes
+
+
 def _row_norms(s: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis: the bits of `np.linalg.norm(s, axis=-1)` for up to 7 entries."""
     return np.sqrt(_last_sum(s * s))
@@ -421,9 +415,10 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     """Restart seeds on the chords between found critical points, as (n, d) rows.
 
     Only the chords (i, j), i < j, with j >= n_old are seeded: the rows
-    reps[n_old:] are the representatives the last restart round added, and
-    every chord between two older ones was seeded in an earlier round (see
-    `find_critical_points`).
+    reps[n_old:] are the representatives the last restart round added.  The
+    skip is exact: a chord between two older ones was seeded in an earlier
+    round, and its starts, whose Newton paths do not depend on their batch,
+    would return the same roots.
 
     Every chord contributes its points at t = 1/4, 1/2 and 3/4.  Along the
     chord the directional slope of log-density also vanishes at every
@@ -437,12 +432,10 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     component term L_i is quadratic in x, so L_i(x(t)) is a concave
     quadratic in t with no remainder (see `_restrict_to_chords`).  Each chord
     is restricted once, and a slope then costs O(k) per point instead of the
-    O(k d^2) of a d-dimensional gradient.  The grid's t are multiples of
-    1/32, so every t the bisection visits is a dyadic rational with
-    denominator at most 2^25, exact in floating point, and the seeds are
-    bit-identical to one halving per slope call.  A seed only starts Newton,
-    so the brackets are bisected `_SCAN_HALVINGS` times, as on the scalar
-    routes.
+    O(k d^2) of a d-dimensional gradient.  A seed only starts Newton, so
+    the brackets are bisected `_SCAN_HALVINGS` times, as on the scalar
+    routes, and the grid's t are multiples of 1/32, so every t visited is
+    exact.
     """
     first, second = np.triu_indices(len(reps), 1)
     new = second >= n_old
@@ -471,12 +464,12 @@ def _scan_roots(functions, grid: np.ndarray, n: int, halvings: int) -> tuple[np.
     (function, grid slot) order.
 
     The halvings run in rounds of m (see `_halvings_per_round`): one call
-    evaluates each bracket at all 2^m - 1 points that its next m halvings
-    can visit, and the halvings are then replayed on those values.  The
-    left end of a bracket keeps the sign it starts with, since it moves only
-    to a midpoint whose value has the same sign (a zero counts as
-    negative), so a round reads each value's sign against that of the
-    bracket's first left end once, and the replay moves on those booleans.
+    evaluates each bracket at the 2^m - 1 points inside it that its next m
+    halvings can visit.  Halving keeps the left end at the bracket's first
+    left sign and the right end at the other (a zero counts as negative),
+    so the round keeps the sub-cell whose ends have those signs, or, of
+    several, the one that every dyadic ancestor midpoint sends the bisection
+    to: each root is that of halving one step at a time.
     """
     vals = functions(np.arange(n))(grid)
     zero_rows, slot = np.nonzero(vals == 0.0)
@@ -489,16 +482,19 @@ def _scan_roots(functions, grid: np.ndarray, n: int, halvings: int) -> tuple[np.
         per_round, left = _halvings_per_round(len(pair_idx)), halvings
         while left:
             m = min(per_round, left)
-            # the 2^m - 1 points that the next m halvings can visit
-            ts_round = t_lo[:, None] + np.ldexp(np.arange(1, 2 ** m), -m)[None, :] * width[:, None]
-            same = ((evaluate(ts_round) > 0.0) == lo_positive[:, None]).ravel()
-            # bracket [lo, lo + span] in units of 2^-m, kept as the flat index
-            # at + lo, so that its point lo + span - 1 is same[at + lo + span]
-            at = np.arange(len(pair_idx)) * (2 ** m - 1) - 1
-            lo = at.copy()
-            for span in (1 << j for j in range(m - 1, -1, -1)):
-                lo += span * same[lo + span]
-            t_lo = t_lo + np.ldexp((lo - at).astype(float), -m) * width
+            cells = 2 ** m
+            same = np.zeros((len(pair_idx), cells + 1), dtype=bool)      # has the left sign
+            same[:, 0] = True
+            ts_round = t_lo[:, None] + np.ldexp(np.arange(1, cells), -m)[None, :] * width[:, None]
+            same[:, 1:-1] = (evaluate(ts_round) > 0.0) == lo_positive[:, None]
+            ends = same[:, :-1] & ~same[:, 1:]
+            if np.count_nonzero(ends) > len(ends):           # a bracket holds several
+                # halving b goes right of the midpoint of the sub-cell's dyadic
+                # ancestor of 2^(b+1) cells iff that midpoint has the left sign
+                cell, bit = np.arange(cells)[:, None], np.arange(m)
+                mids = (cell >> (bit + 1) << (bit + 1)) + (1 << bit)
+                ends = np.all(same[:, mids] == ((cell >> bit) & 1 == 1), axis=2)
+            t_lo = t_lo + np.ldexp(np.argmax(ends, axis=1).astype(float), -m) * width
             width = np.ldexp(width, -m)
             left -= m
         found.append((pair_idx, t_lo + 0.5 * width))
@@ -606,13 +602,16 @@ def _chord_slopes(top: np.ndarray, q: np.ndarray, vertex: np.ndarray, t: np.ndar
     t holds T parameters per line as (n, T), or T shared by every line as (T,).
 
     The slope of the 1-d mixture of the terms top_i - q_i (t - t_i)^2 / 2:
-    -sum_i w_i q_i (t - t_i) with responsibilities w = `_softmax` of the
-    terms, which needs no log-density.
+    -sum_i w_i q_i (t - t_i) with responsibilities w = softmax of the terms,
+    which needs no log-density.  On (k, n, T) arrays, each reduction over
+    the components runs along T and takes its columns in sequence.
     """
-    offsets = t[..., None] - vertex[:, None, :]
-    slopes = q[:, None, :] * offsets              # minus each term's own slope
-    terms = top[:, None, :] - 0.5 * slopes * offsets
-    return -np.einsum("ntk,ntk->nt", _softmax(terms), slopes)
+    top, q, vertex = (np.ascontiguousarray(a.T)[..., None] for a in (top, q, vertex))
+    offsets = t - vertex
+    slopes = q * offsets                          # minus each term's own slope
+    terms = top - 0.5 * slopes * offsets
+    e = np.exp(terms - terms.max(axis=0))
+    return -(e / e.sum(axis=0) * slopes).sum(axis=0)
 
 
 def _slope_functions(top: np.ndarray, q: np.ndarray, vertex: np.ndarray):
@@ -623,12 +622,10 @@ def _slope_functions(top: np.ndarray, q: np.ndarray, vertex: np.ndarray):
 def _halvings_per_round(n_brackets: int) -> int:
     """Bisection halvings per call in `_scan_roots`, from 1 to 5.
 
-    A round of m halvings evaluates 2^m - 1 points per bracket, each an O(k)
-    slope of a restricted 1-d mixture, an O(d) ridgeline value or an O(1)
-    value of the simplex ray equation; m is the largest that keeps a call
-    at 256 rows or fewer.  Few brackets take 5 halvings per call, so the
-    per-call cost is paid once per 5 halvings; thousands of brackets take
-    one, where more would evaluate points the bisection never uses.
+    A round of m halvings is one call at 2^m - 1 points per bracket (each an
+    O(k) chord slope, an O(d) ridgeline value or an O(1) simplex ray value)
+    and a fixed number of array operations, so m trades points against
+    rounds: m is the largest that keeps a call at 256 rows or fewer.
     """
     m = 1
     while m < 5 and n_brackets * (2 ** (m + 1) - 1) <= 256:
@@ -832,16 +829,18 @@ def _reference(mixture: Mixture) -> int:
 
 
 def _classify(
-    solver: _LogSolver, xs: np.ndarray, config: SolverConfig, diameters: Sequence[float]
+    solver: _LogSolver, xs: np.ndarray, derivatives: Sequence[np.ndarray], config: SolverConfig,
+    diameters: Sequence[float],
 ) -> list[CriticalPoint]:
     """Classify each of the (B, d) points, critical or not; callers apply `grad_accept_tol`.
 
-    Every quantity is taken for the whole batch as an array, and each point
-    is built from its row, with its `cluster_diameter` from `diameters`.  A
-    single Gaussian has no ratio system, so its points carry no reduced
+    `derivatives` are the points' `relative_derivatives`, whose terms give
+    the charts too.  Every quantity is taken for the whole batch as an
+    array, and each point is built from its row and its `diameters` entry.
+    A single Gaussian has no ratio system, so its points carry no reduced
     coordinates.
     """
-    log_f, grad, hess = solver.relative_derivatives(xs)
+    log_f, grad, hess, terms = derivatives
     eigs = np.linalg.eigvalsh(hess)
     abs_eigs = np.abs(eigs)
     # Degeneracy is judged against the mixture's own curvature scale, not just
@@ -849,32 +848,34 @@ def _classify(
     # eigenvalues near zero, e.g. a fold point in 1-d) must still register.
     eig_ratios = abs_eigs.min(axis=1) / np.maximum(abs_eigs.max(axis=1), solver.curvature_scale)
     # X at a point's own log-ratios is its mean-shift image; R is taken in the
-    # dominant chart (see CriticalPoint), where R_i = -y_i expm1(-S_i).  Terms
-    # tied to 1e-12 relative go to the lowest index, so that the reported
-    # chart of a point where two components tie by symmetry does not flip
-    # with the last ulp of its location.
-    log_y, charts = solver.chart_coords(xs, tie_margin=1e-12)
+    # dominant chart, where R_i = -y_i expm1(-S_i), and terms tied to 1e-12
+    # relative go to the lowest index (see CriticalPoint).
+    top = _last_max(terms)[:, None]
+    charts = np.argmax(terms >= top - 1e-12 * (1.0 + np.abs(top)), axis=1)
+    log_y = _centre(terms, charts)
     images, _, _ = solver.x_batch(log_y)
     s = _centre(log_y - solver.component_terms(images)[0], charts)
     reduced_residuals = _row_norms(-np.exp(log_y) * np.expm1(-s))
-    grad_norms, shifts = _vector_norms(grad), _vector_norms(images - xs)
     reference, ratios = _reference(solver.mixture), solver.mixture.n_components >= 2
     with np.errstate(over="ignore"):
         reduced = np.exp(np.delete(log_y - log_y[:, reference, None], reference, axis=1))
+    density, log_f, grad_norms, index, eig_ratios, eigs, shifts, residuals, charts = map(np.ndarray.tolist, (
+        np.exp(log_f), log_f, _vector_norms(grad), np.count_nonzero(eigs < 0.0, axis=1), eig_ratios, eigs,
+        _vector_norms(images - xs), reduced_residuals, charts))
     return [CriticalPoint(
         location=np.array(x, dtype=float),
-        density=float(np.exp(log_f[i])),
-        log_density=float(log_f[i]),
-        gradient_residual=float(grad_norms[i]),
-        morse_index=int(np.count_nonzero(eigs[i] < 0.0)),
-        eig_ratio=float(eig_ratios[i]),
-        degenerate=bool(eig_ratios[i] < config.degeneracy_tol),
-        hessian_eigenvalues=tuple(float(v) for v in eigs[i]),
-        mean_shift_residual=float(shifts[i]),
+        density=density[i],
+        log_density=log_f[i],
+        gradient_residual=grad_norms[i],
+        morse_index=index[i],
+        eig_ratio=eig_ratios[i],
+        degenerate=eig_ratios[i] < config.degeneracy_tol,
+        hessian_eigenvalues=tuple(eigs[i]),
+        mean_shift_residual=shifts[i],
         reduced_coords=reduced[i] if ratios else None,
-        reduced_residual=float(reduced_residuals[i]) if ratios else None,
+        reduced_residual=residuals[i] if ratios else None,
         cluster_diameter=float(diameters[i]),
-        reduced_reference=int(charts[i]) if ratios else None,
+        reduced_reference=charts[i] if ratios else None,
     ) for i, x in enumerate(xs)]
 
 
@@ -890,7 +891,8 @@ def classify(mixture: Mixture, x: np.ndarray, config: SolverConfig | None = None
     the configured tolerance.
     """
     config = config or SolverConfig()
-    point = _classify(_LogSolver(mixture), mixture._check_point(x)[None], config, [0.0])[0]
+    solver, xs = _LogSolver(mixture), mixture._check_point(x)[None]
+    point = _classify(solver, xs, solver.relative_derivatives(xs), config, [0.0])[0]
     if not point.gradient_residual <= config.grad_accept_tol:
         raise ValueError(
             f"point is not critical: relative gradient norm {point.gradient_residual:.3e} "
@@ -957,24 +959,27 @@ def _dedup_points(candidates: np.ndarray, solver: _LogSolver, config: SolverConf
     """Cluster near-identical locations; keep and classify each cluster's best member.
 
     The best member passes the gradient test with the smallest gradient
-    residual, the first in lexicographic order on ties, chosen from one
-    batch of gradient norms; a cluster with no passing member is dropped.
-    Only the kept rows are classified, each with the `cluster_diameter` of
-    all its cluster's members.  Returns the points and how many candidates
-    pass.
+    residual, the first in lexicographic order on ties; a cluster with no
+    passing member is dropped.  Only the kept rows of one
+    `relative_derivatives` batch are classified, each with the
+    `cluster_diameter` of its cluster.  Returns the points and how many
+    candidates pass.
     """
     if not len(candidates):
         return (), 0
     members = np.array(candidates)
     members = members[np.lexsort(members.T[::-1])]      # so ties keep the first
     _, labels = _cluster(members, config.dedup_tol)
-    residuals = _vector_norms(solver.relative_gradient(members)[0])
+    derivatives = solver.relative_derivatives(members)
+    residuals = _vector_norms(derivatives[1])
     passing = np.flatnonzero(residuals <= config.grad_accept_tol)
     # by label, then residual; lexsort is stable, so ties keep the lower row
     ranked = passing[np.lexsort((residuals[passing], labels[passing]))]
     kept = ranked[np.unique(labels[ranked], return_index=True)[1]]
-    diameters = [_distances(members[labels == labels[i]]).max() for i in kept]
-    points = _classify(solver, members[kept], config, diameters)
+    same = labels[:, None] == labels
+    spread = np.where(same, _distances(members), 0.0).max(axis=1)      # within its cluster
+    diameters = np.where(same[kept], spread, 0.0).max(axis=1)
+    points = _classify(solver, members[kept], [a[kept] for a in derivatives], config, diameters)
     # rounded first, so mirror points whose coordinates tie to the last ulps
     # keep their order under rounding-level changes in the solver
     points.sort(key=lambda p: (tuple(np.round(p.location, 9)), tuple(p.location)))
@@ -1001,14 +1006,10 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
     chords between the roots found so far, where saddles between far-apart
     modes sit (see `_chord_starts`).  There is no completeness certificate;
     the report carries start/drop diagnostics instead.  Every round keeps
-    the representatives found before it fixed: a new root joins the first
-    representative within `dedup_tol` of it (see `_cluster`), and only the
-    roots that join none become new representatives, appended after the
-    old ones.  The rounds stop when one adds no representative, or after six
-    rounds.  A round seeds only the chords with an endpoint that the round
-    before it added.  That skip is exact: a chord between older
-    representatives was seeded a round earlier, and its starts, whose
-    Newton paths do not depend on their batch, would return the same roots.
+    the representatives found before it fixed and appends the roots that
+    join none of them (see `_cluster`), and seeds only the chords with an
+    endpoint that the round before it added.  The rounds stop when one adds
+    no representative, or after six rounds.
     """
     config = config or SolverConfig()
     d, k = mixture.dim, mixture.n_components

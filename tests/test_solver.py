@@ -28,8 +28,8 @@ from modecount import solver as solver_module
 from modecount.construct import REALIZE_EPSILON, radial_critical_roots, simplex_seed, tilt_polish
 from modecount.mixture import affine_rank, logsumexp, reduce_homoscedastic
 from modecount.solver import (
-    _SCAN_HALVINGS, _chord_slopes, _chord_starts, _cluster, _dedup_points, _halvings_per_round, _last_max,
-    _last_sum, _LogSolver, _restrict_to_chords, _softmax, _vector_norms,
+    _SCAN_HALVINGS, _chord_slopes, _chord_starts, _cluster, _dedup_points, _distances, _halvings_per_round,
+    _last_max, _last_sum, _LogSolver, _restrict_to_chords, _scan_roots, _softmax, _vector_norms,
 )
 
 from conftest import (
@@ -1161,7 +1161,7 @@ def chord_starts_one_halving_at_a_time(solver, reps, n_old=0):
 
 
 def test_chord_starts_match_one_halving_at_a_time(monkeypatch):
-    # the bisection rounds replay 20 halvings (_SCAN_HALVINGS) on the signs
+    # the bisection rounds read 20 halvings (_SCAN_HALVINGS) off the signs
     # of slopes evaluated at every dyadic point they can visit, read once
     # against the sign of the bracket's left end, so each seed is
     # bit-identical; the cases hold brackets whose left end has a positive
@@ -1198,6 +1198,73 @@ def test_chord_starts_match_one_halving_at_a_time(monkeypatch):
         left_signs.update(np.sign(vals[pair_idx, slot]))
     assert left_signs == {-1.0, 1.0}
     assert _chord_starts(_LogSolver(d1k6), d1k6_roots, len(d1k6_roots)).shape == (0, 1)
+
+
+def polynomial_functions(signs, roots):
+    """`_scan_roots` functions: f_i(t) = signs[i] * prod_j (t - roots[i, j]), one product at a time."""
+    def functions(rows):
+        def f(t):
+            out = np.broadcast_to(signs[rows, None], (len(rows), np.shape(t)[-1]))
+            for r in roots[rows].T:
+                out = out * (t - r[:, None])
+            return out
+        return f
+    return functions
+
+
+def scan_roots_one_halving_at_a_time(functions, grid, n, halvings):
+    """Reference `_scan_roots`: each bracket halved one midpoint per call."""
+    vals = functions(np.arange(n))(grid)
+    zero_rows, slot = np.nonzero(vals == 0.0)
+    rows, ts = [zero_rows], [grid[slot]]
+    pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    t_lo, t_hi, f_lo = grid[slot], grid[slot + 1], vals[pair_idx, slot]
+    for _ in range(halvings):
+        t_mid = 0.5 * (t_lo + t_hi)
+        f_mid = functions(pair_idx)(t_mid[:, None])[:, 0]
+        same = (f_mid > 0.0) == (f_lo > 0.0)
+        t_lo, f_lo, t_hi = np.where(same, t_mid, t_lo), np.where(same, f_mid, f_lo), np.where(same, t_hi, t_mid)
+    return np.concatenate(rows + [pair_idx]), np.concatenate(ts + [0.5 * (t_lo + t_hi)])
+
+
+def test_scan_roots_match_one_halving_at_a_time():
+    # Each function has 3 sign changes in the grid cell [1/4, 1/2], 5 in
+    # [1/2, 3/4] and one in [3/4, 1], and every third has a zero at 0.
+    # The cells are dyadic, so every point either bisection visits is exact
+    # and the roots must agree bit for bit.  A round of m >= 2 halvings
+    # shows several sign changes inside one bracket, and the round must keep
+    # the sub-cell that halving one step at a time ends in.  Some roots sit
+    # exactly on a dyadic sub-point (a zero counts as negative), and the
+    # brackets start from both signs.
+    rng = np.random.default_rng(61)
+    grid = np.linspace(0.0, 1.0, 5)
+    cells = [(0.25, 3), (0.5, 5), (0.75, 1)]
+    for n, m in ((1, 5), (4, 4), (8, 3), (20, 2), (30, 1)):
+        roots = np.concatenate([
+            lo + 0.25 * (np.arange(count) + rng.uniform(0.2, 0.8, size=(n, count))) / count
+            for lo, count in cells
+        ], axis=1)
+        # exact zeros inside brackets, at dyadic depths 5, 4, 2 and 1 of their cell
+        roots[:, 1] = 0.25 + 0.25 * rng.choice([1, 3, 5, 7, 9, 11], size=n) / 32
+        roots[:, 3] = 0.5 + 0.25 * rng.choice([3, 5, 7], size=n) / 16
+        roots[:, 8] = 0.75 + 0.25 * rng.choice([1, 2, 3], size=n) / 4
+        roots = np.concatenate([roots, np.where(np.arange(n)[:, None] % 3 == 0, 0.0, 2.0)], axis=1)
+        signs = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+        signs[:2] = (1.0, -1.0)[:n]
+        functions = polynomial_functions(signs, roots)
+        assert _halvings_per_round(3 * n) == m
+        for halvings in (1, 7, 20):
+            got, want = _scan_roots(functions, grid, n, halvings), scan_roots_one_halving_at_a_time(
+                functions, grid, n, halvings)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, halvings)
+            assert len(got[0]) == 3 * n + len(range(0, n, 3))
+        # the sign changes that the first round of each bracket shows
+        width = 0.25 * np.ldexp(1.0, -m)
+        changes = [
+            np.count_nonzero(np.diff(np.sign(functions([i])(lo + width * np.arange(2 ** m + 1))[0]) > 0.0))
+            for i in range(n) for lo, _ in cells
+        ]
+        assert {3, 5} <= set(changes) if m == 5 else max(changes) >= (3 if m >= 2 else 1)
 
 
 @pytest.fixture(scope="module")
@@ -1406,6 +1473,31 @@ def test_dedup_keeps_best_member_and_cluster_diameter():
     assert len(points) == 2 and accepted == 5
     # no candidate passes: no cluster is kept
     assert _dedup_points([np.array([1.0]), np.array([5e-7])], _LogSolver(m), SolverConfig()) == ((), 0)
+
+
+def test_reported_points_match_standalone_classify(simplex_d5k6):
+    # dedup evaluates all its members in one batch and classifies the kept
+    # rows of it; every field of every point is the bits that `classify`
+    # gets for that point alone (its cluster diameter aside)
+    sweep0 = random_mixture_1d(np.random.default_rng(SWEEP_SEED))
+    pair = elongated_pair(3, 10)
+    for m, report in ((sweep0, None), (pair, None), simplex_d5k6):
+        report = report or find_critical_points(m)
+        assert report.n_critical >= 3
+        for p in report.points:
+            alone = classify(m, p.location)
+            for f in dataclasses.fields(p):
+                got, want = getattr(p, f.name), getattr(alone, f.name)
+                if f.name != "cluster_diameter":
+                    assert np.array_equal(got, want) and type(got) is type(want), (m.dim, f.name)
+    # a cluster of three members beside a cluster of two and a lone point:
+    # each diameter spans its own cluster only
+    saddle = [np.array([4e-7]), np.array([0.0]), np.array([-3e-7])]
+    mode = [np.array([PAIR_MODE]), np.array([PAIR_MODE + 2e-12])]
+    points, accepted = _dedup_points(saddle + mode + [np.array([-PAIR_MODE])], _LogSolver(pair_mixture_1d()),
+                                     SolverConfig())
+    assert accepted == 4 and [p.cluster_diameter for p in points] == [
+        0.0, _distances(np.array(saddle)).max(), _distances(np.array(mode)).max()]
 
 
 def test_vector_norms_match_numpy_norm_per_row():
