@@ -185,7 +185,7 @@ def upper_bound(family: str, d: int, k: int | None = None) -> BoundValue:
     d, k = _ints(d, k)
     if k < 2:
         raise ValueError("upper bounds need k >= 2")
-    if d < 1:
+    if d < 1 and family != "AUG_HOM":
         raise ValueError("dimension (or rank) must be >= 1; rank 0 means one critical point")
     return BoundValue(_UPPER[family](d, k))
 

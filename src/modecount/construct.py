@@ -8,6 +8,8 @@ numerically raises instead of returning an unchecked witness.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,6 +97,17 @@ def simplex_seed(K: int, epsilon: float = REALIZE_EPSILON) -> tuple[Mixture, int
     which holds exactly one root, with no halving.  The expectation is a
     claim to verify, not a certificate.
     """
+    mixture, modes = _simplex(K, epsilon)
+    return mixture, len(modes)
+
+
+def _simplex(K: int, epsilon: float) -> tuple[Mixture, np.ndarray]:
+    """`simplex_seed`'s mixture and its proposed modes, one row per claimed mode.
+
+    The center, plus t_2 v_i on each vertex v_i when the ray equation has
+    two roots t_1 < t_2; t_2 is the midpoint of its grid bracket, within
+    5e-5 of the root, which polish sharpens.
+    """
     if K < 3:
         raise ValueError("simplex seeds need K >= 3 components")
     if not 0.0 < epsilon <= 0.2:
@@ -105,8 +118,9 @@ def simplex_seed(K: int, epsilon: float = REALIZE_EPSILON) -> tuple[Mixture, int
     vertices = simplex_vertices(n)
     weights = np.full(K, 1.0 / K)
     mixture = Mixture.from_arrays(weights, vertices, shared_covariance=tau * np.eye(n))
-    ray_modes = len(_ray_roots(n, K / (1.0 + epsilon), 0)) == 2
-    return mixture, K + 1 if ray_modes else 1
+    roots = _ray_roots(n, K / (1.0 + epsilon), 0)
+    modes = np.vstack([np.zeros(n), roots[-1] * vertices]) if len(roots) == 2 else np.zeros((1, n))
+    return mixture, modes
 
 
 def _ray_roots(n: int, a: float, halvings: int) -> np.ndarray:
@@ -223,32 +237,35 @@ def _max_std(mixture: Mixture) -> float:
 def pad_remote(
     mixture: Mixture,
     spec: PaddingSpec,
-    base_report: SolveReport | None = None,
+    modes: np.ndarray | None = None,
     config: SolverConfig | None = None,
     seed: int = PAD_BOUNDARY_SEED,
 ) -> Mixture:
     """Add `spec.count` remote low-weight components, one per new mode.
 
-    Each new center goes out along a cycling axis direction at distance
-    separation_factor * (mean diameter + 10 * max standard deviation); the
-    new component takes weight theta, the rest rescale by (1 - theta).  The
-    placement is accepted only when the density at every retained witness
-    location and at the new center beats the density at each sampled point
-    of a sphere around it (`_ball_certifies_mode`), doubling the separation
-    until the test passes (error after 40 doublings).  The sample is the 2d
-    axis directions plus 32 seeded random ones (none for d = 1), so a pass
-    is evidence of a mode inside each sphere, not a proof.  The new
-    component reuses the shared covariance when the base is homoscedastic,
-    the identity otherwise.  A distance whose square overflows (the
-    neighbour norms and the component terms take it) is a ValueError that
-    names the separation factor.
+    `modes` is an (m, d) array of the base's mode locations; when it is
+    None, `find_critical_points` with `config` supplies them.  Each new
+    center goes out along a cycling axis direction at distance
+    separation_factor * (diameter of the means and modes + 10 * max
+    standard deviation); the new component takes weight theta, the rest
+    rescale by (1 - theta).  The placement is accepted only when the
+    density at every retained mode location and at the new center beats
+    the density at each sampled point of a sphere around it
+    (`_ball_certifies_mode`), doubling the separation until the test passes
+    (PaddingError after 40 doublings), so a location that is not a strict
+    local maximum, a saddle say, fails loudly.  The sample is the 2d axis
+    directions plus 32 seeded random ones (none for d = 1), so a pass is
+    evidence of a mode inside each sphere, not a proof.  The new component
+    reuses the shared covariance when the base is homoscedastic, the
+    identity otherwise.  A distance whose square overflows (the neighbour
+    norms and the component terms take it) is a ValueError that names the
+    separation factor.
     """
     if spec.count == 0:
         return mixture
-    config = config or SolverConfig()
-    if base_report is None:
-        base_report = find_critical_points(mixture, config)
-    mode_locations = [np.array(p.location) for p in base_report.points if p.is_mode]
+    if modes is None:
+        modes = [p.location for p in find_critical_points(mixture, config).modes]
+    mode_locations = list(np.asarray(modes, dtype=float))
     if not mode_locations:
         raise PaddingError("base mixture has no verified modes to retain")
     rng = np.random.default_rng(seed)
@@ -336,14 +353,18 @@ def tilt_polish(
     return last
 
 
-def _build_seed(triple: SeedTriple, epsilon: float) -> tuple[Mixture, int]:
+def _build_seed(triple: SeedTriple, epsilon: float) -> tuple[Mixture, np.ndarray]:
+    """A seed's mixture and its proposed modes, an (m, d) array whose m is the seed's claim.
+
+    The pair (1, 2, 2) proposes its means, from which polish reaches its two
+    modes; a simplex seed proposes its center and ray modes (see `_simplex`).
+    """
     if triple == SeedTriple(1, 2, 2):
         # well-separated symmetric pair: two clean modes straddling a saddle
         means = np.array([[-2.0], [2.0]])
-        mixture = Mixture.from_arrays(np.array([0.5, 0.5]), means, shared_covariance=np.eye(1))
-        return mixture, 2
+        return Mixture.from_arrays(np.array([0.5, 0.5]), means, shared_covariance=np.eye(1)), means
     if triple.dim == triple.comps - 1 and triple.modes == triple.comps + 1 and triple.comps >= 3:
-        return simplex_seed(triple.comps, epsilon)
+        return _simplex(triple.comps, epsilon)
     raise RecipeError(
         f"no builder for seed triple ({triple.dim}, {triple.comps}, {triple.modes}); "
         "only simplex triples (d, d + 1, d + 2) with d >= 2 and the pair (1, 2, 2) are built"
@@ -362,9 +383,13 @@ def realize_recipe(
 
     Seeds are built natively (simplex triples and the 1-d pair (1,2,2)),
     chained by Cartesian product, lifted to recipe.lift_to dimensions, then
-    remote-padded with recipe.pad extra components.  The solver must
-    confirm at least recipe.value modes; a shortfall raises
-    RecipeVerificationError carrying the achieved count.
+    remote-padded with recipe.pad extra components.  Padding retains the
+    modes the construction proposes, with no solve of the unpadded witness:
+    the product of the seeds' proposals, in `product`'s component order,
+    with zero lift coordinates, polished once.  `pad_remote` rejects any
+    proposal that is not a strict local maximum.  The one solve, of the
+    final witness, must confirm at least recipe.value modes; a shortfall
+    raises RecipeVerificationError carrying the achieved count.
     So does a nondegenerate final report that fails the Morse inequalities
     or the Morse equality, since such a report has missed critical points and its mode count
     certifies nothing.  Near-degenerate outcomes get one tilt-polish pass
@@ -375,27 +400,24 @@ def realize_recipe(
     """
     config = config or SolverConfig()
     if recipe.seeds:
-        witness: Mixture | None = None
-        for triple in recipe.seeds:
-            seed_mix, _ = _build_seed(triple, epsilon)
-            witness = seed_mix if witness is None else product(witness, seed_mix)
-        assert witness is not None
+        seeds = [_build_seed(triple, epsilon) for triple in recipe.seeds]
     else:
         base_dim = max(recipe.lift_to, 1)
-        witness = Mixture.from_arrays(
-            np.array([1.0]), np.zeros((1, base_dim)), shared_covariance=np.eye(base_dim),
-        )
+        base = Mixture.from_arrays(np.array([1.0]), np.zeros((1, base_dim)), shared_covariance=np.eye(base_dim))
+        seeds = [(base, base.means)]
+    mixtures, proposals = zip(*seeds)
+    witness = functools.reduce(product, mixtures)
     if witness.dim < recipe.lift_to:
         witness = lift(witness, recipe.lift_to)
 
-    report = find_critical_points(witness, config)
     if recipe.pad > 0:
         pad_spec = padding or PaddingSpec(count=recipe.pad)
         if pad_spec.count != recipe.pad:
             raise ValueError("padding spec count disagrees with the recipe pad count")
-        witness = pad_remote(witness, pad_spec, base_report=report, config=config, seed=pad_seed)
-        report = find_critical_points(witness, config)
-
+        modes = np.array([np.concatenate(rows) for rows in itertools.product(*proposals)])
+        modes = np.hstack([modes, np.zeros((len(modes), witness.dim - modes.shape[1]))])
+        witness = pad_remote(witness, pad_spec, modes=_LogSolver(witness).polish(modes), seed=pad_seed)
+    report = find_critical_points(witness, config)
     tilted = False
     if not report.all_nondegenerate:
         witness, report = tilt_polish(witness, config, seed=tilt_seed)

@@ -106,7 +106,7 @@ def product_data():
             base = Mixture.from_arrays(rng.uniform(0.2, 1.0, size=k), means, covs)
         count = 2 if i == 0 else 1
         base_report = find_critical_points(base)
-        padded = pad_remote(base, PaddingSpec(count=count), base_report=base_report)
+        padded = pad_remote(base, PaddingSpec(count=count), modes=[p.location for p in base_report.modes])
         padded_report = find_critical_points(padded)
         pads.append((base_report, padded_report, count))
     return {

@@ -92,6 +92,14 @@ def test_integer_anchors():
     assert int(aim_conjecture(3, 3)) == 10
 
 
+def test_aug_hom_ignores_its_dimension_argument():
+    # AUG_HOM depends on k alone, so a dimension of 0 is no error for it
+    assert upper_bound("AUG_HOM", 5).exact == 1_280_000
+    assert upper_bound("AUG_HOM", 0, 5) == upper_bound("AUG_HOM", 3, 5) == upper_bound("AUG_HOM", 5)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        upper_bound("HOM", 0, 5)
+
+
 def test_best_is_pointwise_min():
     for d in range(1, 12):
         for k in range(2, 8):

@@ -20,7 +20,6 @@ from modecount import (
     RecipeVerificationError,
     SeedRecipe,
     SeedTriple,
-    SolveReport,
     SolverConfig,
     find_critical_points,
     lift,
@@ -268,7 +267,7 @@ def test_pad_zero_is_identity():
 def test_pad_adds_modes_and_keeps_base():
     m = pair_1d()
     base = find_critical_points(m)
-    padded = pad_remote(m, PaddingSpec(count=2), base_report=base)
+    padded = pad_remote(m, PaddingSpec(count=2), modes=[p.location for p in base.modes])
     assert padded.n_components == 4
     assert padded.is_homoscedastic()
     # original weights rescaled by (1 - theta) per padding round
@@ -283,9 +282,57 @@ def test_pad_adds_modes_and_keeps_base():
 
 def test_pad_requires_verified_modes():
     m = pair_1d()
-    empty = SolveReport(m, (), 0, 0)
     with pytest.raises(PaddingError):
-        pad_remote(m, PaddingSpec(count=1), base_report=empty)
+        pad_remote(m, PaddingSpec(count=1), modes=np.empty((0, 1)))
+
+
+def test_pad_rejects_a_saddle_proposed_as_a_mode():
+    # the pair's saddle at the origin fails the ball test at every separation
+    with pytest.raises(PaddingError):
+        pad_remote(pair_1d(), PaddingSpec(count=1), modes=[[0.0]])
+
+
+def assert_polish_to_solver_modes(mixture, proposals, config=None):
+    """Polished proposals match the solver's modes in count and, within 1e-9, in location."""
+    polished = construct._LogSolver(mixture).polish(np.asarray(proposals, dtype=float))
+    report = find_critical_points(mixture, config)
+    assert len(polished) == report.n_modes
+    gaps = np.linalg.norm(polished[:, None] - np.array([p.location for p in report.modes])[None], axis=2)
+    assert np.all(gaps.min(axis=1) <= 1e-9)
+    assert len(set(gaps.argmin(axis=1))) == len(polished)
+
+
+def test_seed_proposals_polish_to_the_solver_modes():
+    eps = construct.REALIZE_EPSILON
+    seeds = [construct._build_seed(SeedTriple(1, 2, 2), eps)]
+    seeds += [construct._build_seed(SeedTriple(K - 1, K, K + 1), eps) for K in range(3, 8)]
+    assert [len(modes) for _, modes in seeds] == [2, 4, 5, 6, 7, 8]
+    for mixture, modes in seeds:
+        assert_polish_to_solver_modes(mixture, modes, SolverConfig(force=True))
+    # past the fold the center alone is proposed
+    mixture, modes = construct._build_seed(SeedTriple(2, 3, 4), 0.15)
+    assert len(modes) == 1
+    assert_polish_to_solver_modes(mixture, modes)
+
+
+def test_product_and_lift_proposals_polish_to_the_solver_modes(monkeypatch):
+    # the proposals realize_recipe hands to pad_remote for product(pair, pair)
+    # and for the (3, 4, 5) seed lifted to d = 5
+    handed = []
+
+    def spy(mixture, spec, modes=None, **kwargs):
+        handed.append((mixture, modes))
+        return pad_remote(mixture, spec, modes, **kwargs)
+
+    monkeypatch.setattr(construct, "pad_remote", spy)
+    pair = SeedTriple(1, 2, 2)
+    realize_recipe(SeedRecipe((pair, pair), lift_to=2, pad=1, value=5))
+    realize_recipe(SeedRecipe((SeedTriple(3, 4, 5),), lift_to=5, pad=1, value=6))
+    (prod, prod_modes), (lifted, lifted_modes) = handed
+    assert prod.dim == 2 and len(prod_modes) == 4
+    assert lifted.dim == 5 and len(lifted_modes) == 5
+    assert_polish_to_solver_modes(prod, prod_modes)
+    assert_polish_to_solver_modes(lifted, lifted_modes)
 
 
 # -- tilt polish ------------------------------------------------------------------------
@@ -384,6 +431,35 @@ def test_batched_ball_test_matches_pointwise(monkeypatch):
         reference, _ = realize_recipe(recipe)
         assert len(verdicts) >= recipe.pad
         assert all(got == want for got, want in verdicts)
+        assert np.array_equal(witness.means, reference.means)
+        assert np.array_equal(witness.weights, reference.weights)
+
+
+def test_padded_recipe_solves_once(monkeypatch):
+    # the construction's modes stand in for a solve of the unpadded base, so
+    # the padded witness is the only mixture solved, and the padding lands
+    # where padding around the solver's modes of that base puts it
+    solve = construct.find_critical_points
+    solved = []
+
+    def spy(mixture, config=None):
+        solved.append(mixture)
+        return solve(mixture, config)
+
+    monkeypatch.setattr(construct, "find_critical_points", spy)
+    simplex_recipe = seed_closure_bound(2, 6, simplex_family)[1]
+    ray_ren_recipe = seed_closure_bound(1, 6, ray_ren_family)[1]
+    assert simplex_recipe.seeds == (SeedTriple(2, 3, 4),) and ray_ren_recipe.seeds == (SeedTriple(1, 2, 2),)
+    cases = [
+        (simplex_recipe, simplex_seed(3, construct.REALIZE_EPSILON)[0]),
+        (ray_ren_recipe, pair_1d()),
+        (SeedRecipe((), lift_to=2, pad=2, value=3), Mixture.from_arrays([1.0], [[0.0, 0.0]], shared_covariance=np.eye(2))),
+    ]
+    for recipe, base in cases:
+        solved.clear()
+        witness, prov = realize_recipe(recipe)
+        assert len(solved) == 1 and solved[0] is witness and not prov["tilt_applied"]
+        reference = pad_remote(base, PaddingSpec(count=recipe.pad), modes=[p.location for p in solve(base).modes])
         assert np.array_equal(witness.means, reference.means)
         assert np.array_equal(witness.weights, reference.weights)
 
