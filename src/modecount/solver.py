@@ -8,9 +8,10 @@ multistart damped Newton iteration in log-coordinates that runs each start
 in the chart of its own dominant component, polishes the roots with the
 same damped Newton loop in x, classifies them by Hessian inertia, and
 assembles a report with Morse and upper-bound verdicts.  Where the
-problem is one-dimensional (d = 1, or k = 2 in any d) polish takes the
-roots of a scanned exact scalar function; otherwise the starts are the
-means, their midpoints and the chords between the roots found so far.
+problem is one-dimensional (d = 1, or k = 2 in any d) the roots of a
+scanned exact scalar function replace the Newton solve, and polish runs
+only on the roots that fail the gradient test; otherwise the starts are
+the means, their midpoints and the chords between the roots found so far.
 
 `_LogSolver` is the package's one evaluation path for that system, and
 its one Newton engine and derivative evaluator.  Past the log-ratio solve
@@ -54,8 +55,9 @@ class SolverConfig:
     (`_damped_newton`) with module constants (NEWTON_TOL, NEWTON_MAX_ITER,
     MAX_HALVINGS and _POLISH_*), and `find_critical_points` fixes the
     starts: the roots of a scanned scalar function for d = 1 or k = 2
-    (`_SEGMENT_GRID`, `_RIDGE_POINTS`, `_SCAN_HALVINGS`), otherwise the
-    means, the mean midpoints and the chord starts of the restart rounds.
+    (`_SEGMENT_GRID`, `_RIDGE_POINTS`, `_SCAN_HALVINGS`), of which only
+    those that fail `grad_accept_tol` are polished, otherwise the means,
+    the mean midpoints and the chord starts of the restart rounds.
     """
 
     dedup_tol: float = 1e-6
@@ -265,8 +267,10 @@ _POLISH_GRAD_TOL, _POLISH_STEPS, _POLISH_RUNGS = 1e-15, 8, 20
 # The scan grids of the scalar route: `_segment_starts` scans a 1-d mixture
 # at each mean plus its standard deviation times these 401 offsets (out to
 # 8.1e4), and `_ridgeline_starts` scans a two-component mixture's ridgeline
-# function at this many points; 2^-20 of a grid cell is on the scale of
-# `dedup_tol`, and polish converges from there
+# function at this many points; each bracket is bisected to 2^-20 of its
+# grid cell, on the scale of `dedup_tol`, and its secant point passes
+# `grad_accept_tol` unless the scanned function and the gradient round
+# differently there, which polish then mends
 _SEGMENT_GRID = np.sinh(np.linspace(-12.0, 12.0, 401))
 _RIDGE_POINTS, _SCAN_HALVINGS = 2001, 20
 
@@ -433,9 +437,9 @@ def _chord_starts(solver: _LogSolver, reps: np.ndarray, n_old: int) -> np.ndarra
     quadratic in t with no remainder (see `_restrict_to_chords`).  Each chord
     is restricted once, and a slope then costs O(k) per point instead of the
     O(k d^2) of a d-dimensional gradient.  A seed only starts Newton, so
-    the brackets are bisected `_SCAN_HALVINGS` times, as on the scalar
-    routes, and the grid's t are multiples of 1/32, so every t visited is
-    exact.
+    the brackets are bisected `_SCAN_HALVINGS` times and finished with the
+    secant step, as on the scalar routes, and the grid's t are multiples of
+    1/32, so every t the bisection visits is exact.
     """
     first, second = np.triu_indices(len(reps), 1)
     new = second >= n_old
@@ -459,9 +463,14 @@ def _scan_roots(functions, grid: np.ndarray, n: int, halvings: int) -> tuple[np.
     which takes t of shape (T,), shared by the rows, or (len(rows), T), and
     returns their values as a (len(rows), T) array.  An exact zero on the
     ascending grid is a root, and so is every sign change between
-    neighbouring grid points, bisected `halvings` times to the midpoint of
-    its last bracket.  The zeros come first, then the brackets, each in
-    (function, grid slot) order.
+    neighbouring grid points, bisected `halvings` times and finished with
+    one secant (regula falsi) step: t_lo + width * f_lo / (f_lo - f_hi)
+    from the values at the ends of its last bracket, which the grid or the
+    last round has already evaluated (Brent, Algorithms for Minimization
+    without Derivatives, 1973).  An exact zero at an end gives that end;
+    where the fraction is not finite or lies outside [0, 1], the bracket's
+    midpoint is returned.  The zeros come first, then the brackets, each
+    in (function, grid slot) order.
 
     The halvings run in rounds of m (see `_halvings_per_round`): one call
     evaluates each bracket at the 2^m - 1 points inside it that its next m
@@ -469,7 +478,8 @@ def _scan_roots(functions, grid: np.ndarray, n: int, halvings: int) -> tuple[np.
     left sign and the right end at the other (a zero counts as negative),
     so the round keeps the sub-cell whose ends have those signs, or, of
     several, the one that every dyadic ancestor midpoint sends the bisection
-    to: each root is that of halving one step at a time.
+    to: each last bracket, with its end values, and so each root, is that
+    of halving one step at a time.
     """
     vals = functions(np.arange(n))(grid)
     zero_rows, slot = np.nonzero(vals == 0.0)
@@ -477,16 +487,17 @@ def _scan_roots(functions, grid: np.ndarray, n: int, halvings: int) -> tuple[np.
     pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
     if len(pair_idx):
         t_lo, width = grid[slot], grid[slot + 1] - grid[slot]
-        lo_positive = vals[pair_idx, slot] > 0.0
+        rows, sides = np.arange(len(pair_idx))[:, None], np.arange(2)     # a cell's left and right end
+        f_ends = vals[pair_idx[:, None], slot[:, None] + sides]          # the bracket's end values
+        lo_positive = f_ends[:, 0] > 0.0
         evaluate = functions(pair_idx)
         per_round, left = _halvings_per_round(len(pair_idx)), halvings
         while left:
             m = min(per_round, left)
-            cells = 2 ** m
-            same = np.zeros((len(pair_idx), cells + 1), dtype=bool)      # has the left sign
-            same[:, 0] = True
-            ts_round = t_lo[:, None] + np.ldexp(np.arange(1, cells), -m)[None, :] * width[:, None]
-            same[:, 1:-1] = (evaluate(ts_round) > 0.0) == lo_positive[:, None]
+            cells, width = 2 ** m, np.ldexp(width, -m)          # the sub-cells' width
+            ts_round = t_lo[:, None] + np.arange(1, cells) * width[:, None]
+            f_round = np.concatenate([f_ends[:, :1], evaluate(ts_round), f_ends[:, 1:]], axis=1)
+            same = (f_round > 0.0) == lo_positive[:, None]              # has the left sign
             ends = same[:, :-1] & ~same[:, 1:]
             if np.count_nonzero(ends) > len(ends):           # a bracket holds several
                 # halving b goes right of the midpoint of the sub-cell's dyadic
@@ -494,10 +505,13 @@ def _scan_roots(functions, grid: np.ndarray, n: int, halvings: int) -> tuple[np.
                 cell, bit = np.arange(cells)[:, None], np.arange(m)
                 mids = (cell >> (bit + 1) << (bit + 1)) + (1 << bit)
                 ends = np.all(same[:, mids] == ((cell >> bit) & 1 == 1), axis=2)
-            t_lo = t_lo + np.ldexp(np.argmax(ends, axis=1).astype(float), -m) * width
-            width = np.ldexp(width, -m)
+            sub = np.argmax(ends, axis=1)
+            f_ends = f_round[rows, sub[:, None] + sides]
+            t_lo = t_lo + sub * width
             left -= m
-        found.append((pair_idx, t_lo + 0.5 * width))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            frac = f_ends[:, 0] / (f_ends[:, 0] - f_ends[:, 1])
+        found.append((pair_idx, t_lo + np.where((frac >= 0.0) & (frac <= 1.0), frac, 0.5) * width))
     return np.concatenate([r for r, _ in found]), np.concatenate([t for _, t in found])
 
 
@@ -704,7 +718,8 @@ class SolveReport:
 
     The fields are the solve's own outputs: the deduplicated, classified
     critical points and the number of starts run and converged (for d = 1
-    or k = 2, the scan roots and those polished to `grad_accept_tol`).
+    or k = 2, the scan roots and those whose final point passes
+    `grad_accept_tol`).
     Every verdict is a property of those fields, so a report made with
     `dataclasses.replace(report, points=...)` judges its new points.
     """
@@ -989,14 +1004,17 @@ def _dedup_points(candidates: np.ndarray, solver: _LogSolver, config: SolverConf
 def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -> SolveReport:
     """Locate and classify the critical points of a mixture density.
 
-    For d = 1 or k = 2, polish, dedup and classification take the roots of
-    an exact scalar function, bisected to 2^-20 of a grid cell: the
-    log-density slope on [min mu, max mu] (`_segment_starts`) for d = 1,
-    the ridgeline function (`_ridgeline_starts`) for k = 2.  `n_starts`
-    counts the roots, `n_converged` those polished to `grad_accept_tol`.
-    Two roots in one grid cell are missed.  On either route dedup keeps one
-    polished root per cluster, and only the kept roots are classified (see
-    `_dedup_points`).
+    For d = 1 or k = 2, dedup and classification take the roots of an
+    exact scalar function, bisected to 2^-20 of a grid cell and finished
+    with a secant step (see `_scan_roots`): the log-density slope on
+    [min mu, max mu] (`_segment_starts`) for d = 1, the ridgeline function
+    (`_ridgeline_starts`) for k = 2.  When some roots fail
+    `grad_accept_tol`, only those are polished, and dedup runs again;
+    polish treats each row on its own, so a polished root is the same
+    whichever roots skip it.  `n_starts` counts the scan roots,
+    `n_converged` those whose final point passes `grad_accept_tol`.  Two roots in one grid cell are
+    missed.  On either route dedup keeps one passing root per cluster, and
+    only the kept roots are classified (see `_dedup_points`).
 
     Otherwise damped Newton runs on the log-ratio system, each start in the
     chart of its dominant component (see `_LogSolver`), and the converged
@@ -1024,8 +1042,12 @@ def find_critical_points(mixture: Mixture, config: SolverConfig | None = None) -
 
     solver = _LogSolver(mixture)
     if d == 1 or k == 2:
-        roots = solver.polish(_segment_starts(solver) if d == 1 else _ridgeline_starts(solver))
+        roots = _segment_starts(solver) if d == 1 else _ridgeline_starts(solver)
         points, accepted = _dedup_points(roots, solver, config)
+        if accepted < len(roots):           # polish the roots that fail, and dedup again
+            rough = _vector_norms(solver.relative_gradient(roots)[0]) > config.grad_accept_tol
+            roots[rough] = solver.polish(roots[rough])
+            points, accepted = _dedup_points(roots, solver, config)
         return SolveReport(mixture, points, len(roots), accepted, config)
     first, second = np.triu_indices(k, 1)
     starts = np.concatenate([mixture.means, 0.5 * (mixture.means[first] + mixture.means[second])])

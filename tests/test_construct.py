@@ -171,6 +171,19 @@ def test_radial_roots_match_scalar_scan():
         assert all(abs(r - w) <= 1e-14 for r, w in zip(roots, want)), (n, a, roots, want)
 
 
+def test_simplex_claims_count_the_secant_points_of_the_ray_brackets():
+    # with no halving, `_ray_roots` returns the secant point of each grid
+    # bracket, within 1.1e-7 of the root where the midpoint is within 5e-5:
+    # the claims still count K + 1 modes, and 40 halvings still reach the
+    # point-by-point scan's roots
+    for K in range(3, 8):
+        n, a = K - 1, K / (1.0 + construct.REALIZE_EPSILON)
+        want = scalar_scan_roots(n, a)
+        assert simplex_seed(K, construct.REALIZE_EPSILON)[1] == K + 1 and len(want) == 2
+        assert all(abs(r - w) <= 1e-14 for r, w in zip(radial_critical_roots(n, a), want, strict=True))
+        assert all(abs(r - w) <= 1e-6 for r, w in zip(construct._ray_roots(n, a, 0), want, strict=True))
+
+
 # -- lift and product -----------------------------------------------------------------
 
 

@@ -1055,12 +1055,63 @@ def test_narrow_pair_reports_its_missing_saddle():
     assert report.n_critical == 3 or (report.n_dropped >= 1 and not report.morse_equality_ok)
 
 
+def spy_on_polish(monkeypatch):
+    """Record the rows of every `_LogSolver.polish` call, one array per call."""
+    calls = []
+    polish = _LogSolver.polish
+
+    def spy(self, x):
+        calls.append(np.array(x))
+        return polish(self, x)
+
+    monkeypatch.setattr(_LogSolver, "polish", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def sweep_reports_and_polish_calls():
+    """The reports of the 200 criterion-3 sweep instances, and the polish calls made while solving them."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on_polish(mp)
+        rng = np.random.default_rng(SWEEP_SEED)
+        reports = [find_critical_points(random_mixture_1d(rng)) for _ in range(200)]
+    return reports, calls
+
+
+def test_scalar_route_polishes_only_roots_that_fail_the_gradient_test(sweep_reports_and_polish_calls, monkeypatch):
+    # the secant point of a root's last scan bracket passes grad_accept_tol
+    # on every criterion-3 instance, so none is polished; on the padded
+    # d1k6 witness the remote root near 283.59 keeps a relative gradient
+    # near 1.3e-9 (the chord slope and the x-space gradient round
+    # differently there) and is the only one polished, and the narrow
+    # pair polishes only its saddle
+    reports, calls = sweep_reports_and_polish_calls
+    assert not calls and all(r.n_converged == r.n_starts for r in reports)
+    calls = spy_on_polish(monkeypatch)
+    report = find_critical_points(padded_d1k6_mixture())
+    assert len(calls) == 1 and calls[0].shape == (1, 1) and abs(calls[0][0, 0] - 283.59223) <= 1e-5
+    assert report.n_critical == 11 and report.n_converged == report.n_starts == 11
+    calls.clear()
+    pair = Mixture.from_arrays([0.60386919, 0.39613081], [[8.83805132], [-9.03300794]],
+                               np.array([0.05456335, 0.05357586])[:, None, None] ** 2)
+    find_critical_points(pair)
+    assert len(calls) == 1 and calls[0].shape == (1, 1) and abs(calls[0][0, 0] + 0.17913748) <= 1e-7
+
+
+def test_scalar_route_points_are_sharp(sweep_reports_and_polish_calls):
+    # unpolished scan roots must stay far below grad_accept_tol = 1e-9, not
+    # drift toward it: the largest gradient residual here is about 3.4e-13
+    reports, _ = sweep_reports_and_polish_calls
+    assert max(p.gradient_residual for r in reports for p in r.points) <= 1e-12
+
+
 def test_scan_halvings_follow_the_first_of_forty(monkeypatch):
     # the scalar route stops its bisection after 20 halvings; with the same
     # halvings per round m, it evaluates what the first 20 of 40 halvings
-    # evaluate, and the 40-halving root of each bracket lies in the bracket
-    # whose midpoint the 20-halving run returns (to the ulp where 2^-20 of a
-    # fine grid cell is below one)
+    # evaluate, and the 40-halving root of each bracket lies within half of
+    # the 20-halving run's last bracket of its root (to the ulp where 2^-20
+    # of a fine grid cell is below one): both are secant points of brackets
+    # that hold the same root
     scans = []
 
     def spy(functions, grid, n, halvings):
@@ -1118,6 +1169,21 @@ def test_chord_quarter_points_find_every_root():
     assert report.n_starts <= 120
 
 
+def secant_points(t_lo, t_hi, f_lo, f_hi):
+    """The secant point of each bracket [t_lo, t_hi] from its end values, one bracket at a time.
+
+    The midpoint where the fraction f_lo / (f_lo - f_hi) is not finite or
+    lies outside [0, 1].  The brackets of the oracles below are dyadic, so
+    t_hi - t_lo is their exact width.
+    """
+    out = []
+    for lo, hi, a, b in zip(t_lo, t_hi, f_lo, f_hi):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            frac = a / (a - b)
+        out.append(lo + (frac if 0.0 <= frac <= 1.0 else 0.5) * (hi - lo))
+    return np.array(out, dtype=float)
+
+
 def chord_starts_one_halving_at_a_time(solver, reps, n_old=0):
     """Reference chord starts whose bisection evaluates one midpoint per call.
 
@@ -1147,16 +1213,15 @@ def chord_starts_one_halving_at_a_time(solver, reps, n_old=0):
     pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
     if len(pair_idx):
         t_lo, t_hi = ts[slot], ts[slot + 1]
-        f_lo = vals[pair_idx, slot]
+        f_lo, f_hi = vals[pair_idx, slot], vals[pair_idx, slot + 1]
         a, direction = origins[pair_idx], chords[pair_idx]
         for _ in range(_SCAN_HALVINGS):
             t_mid = 0.5 * (t_lo + t_hi)
             f_mid = slopes(a, direction, t_mid)
             same = (f_mid > 0.0) == (f_lo > 0.0)
-            t_lo = np.where(same, t_mid, t_lo)
-            f_lo = np.where(same, f_mid, f_lo)
-            t_hi = np.where(same, t_hi, t_mid)
-        seeds.append(a + (0.5 * (t_lo + t_hi))[:, None] * direction)
+            t_lo, f_lo = np.where(same, t_mid, t_lo), np.where(same, f_mid, f_lo)
+            t_hi, f_hi = np.where(same, t_hi, t_mid), np.where(same, f_hi, f_mid)
+        seeds.append(a + secant_points(t_lo, t_hi, f_lo, f_hi)[:, None] * direction)
     return np.concatenate(seeds), len(pair_idx)
 
 
@@ -1218,13 +1283,14 @@ def scan_roots_one_halving_at_a_time(functions, grid, n, halvings):
     zero_rows, slot = np.nonzero(vals == 0.0)
     rows, ts = [zero_rows], [grid[slot]]
     pair_idx, slot = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-    t_lo, t_hi, f_lo = grid[slot], grid[slot + 1], vals[pair_idx, slot]
+    t_lo, t_hi, f_lo, f_hi = grid[slot], grid[slot + 1], vals[pair_idx, slot], vals[pair_idx, slot + 1]
     for _ in range(halvings):
         t_mid = 0.5 * (t_lo + t_hi)
         f_mid = functions(pair_idx)(t_mid[:, None])[:, 0]
         same = (f_mid > 0.0) == (f_lo > 0.0)
-        t_lo, f_lo, t_hi = np.where(same, t_mid, t_lo), np.where(same, f_mid, f_lo), np.where(same, t_hi, t_mid)
-    return np.concatenate(rows + [pair_idx]), np.concatenate(ts + [0.5 * (t_lo + t_hi)])
+        t_lo, f_lo = np.where(same, t_mid, t_lo), np.where(same, f_mid, f_lo)
+        t_hi, f_hi = np.where(same, t_hi, t_mid), np.where(same, f_hi, f_mid)
+    return np.concatenate(rows + [pair_idx]), np.concatenate(ts + [secant_points(t_lo, t_hi, f_lo, f_hi)])
 
 
 def test_scan_roots_match_one_halving_at_a_time():
