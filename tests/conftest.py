@@ -10,7 +10,8 @@ rows, each in its own chart:
   the responsibility-weighted mean-shift map, whose fixed points are the
   critical points;
 * `build_reduced` assembles the reduced system of one reference component
-  coefficientwise, as the quadratics q_i of `ReducedSystem`;
+  coefficientwise, as the quadratics q_i of `ReducedSystem`, in floating
+  point or, with `rational=True`, exactly;
 * the 1-d oracle is plain sign-change bisection on the log-density slope,
   and the n-d oracle is damped Newton on the gradient in the original
   coordinates from a dense grid.
@@ -25,6 +26,7 @@ explicit k x k Newton matrix.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,10 +125,10 @@ class ReducedSystem:
         return len(self.free)
 
     def q_values(self, x):
-        """All q_i(x) as an (m,) vector."""
-        x = np.asarray(x, dtype=float)
+        """All q_i(x) as an (m,) vector; exact for a rational system at a point of fractions."""
+        x = np.asarray(x, dtype=self.quad.dtype)
         return (
-            0.5 * np.einsum("i,kij,j->k", x, self.quad, x)
+            np.einsum("i,kij,j->k", x, self.quad, x) / 2
             + self.lin @ x
             + self.const
         )
@@ -136,11 +138,15 @@ class ReducedSystem:
         return self.log_betas + self.q_values(x)
 
 
-def build_reduced(mixture, reference=None):
+def build_reduced(mixture, reference=None, rational=False):
     """Assemble the reduced system with the given reference component.
 
     The reference defaults to the last component; any choice gives the
-    same critical set.
+    same critical set.  With `rational`, the quadratics' coefficients are
+    exact fractions of the float means and precisions, each precision
+    symmetrized exactly (the density sees only the symmetric part of a
+    stored precision, which can differ from its transpose in the last bit);
+    the log betas stay floats.
     """
     k = mixture.n_components
     if k < 2:
@@ -150,6 +156,9 @@ def build_reduced(mixture, reference=None):
         raise ValueError(f"reference index {ref} out of range for {k} components")
     free = tuple(i for i in range(k) if i != ref)
     w, mu, prec = mixture.weights.tolist(), mixture.means, mixture.precisions
+    if rational:
+        mu, prec = fractions(mu), fractions(prec)
+        prec = (prec + prec.transpose(0, 2, 1)) / 2
     # log-determinants taken here, not from the mixture's log_norms, so the
     # oracle does not share that computation with `_LogSolver`
     log_det = [np.log(np.linalg.eigh(c)[0]).sum() for c in mixture.covariances]
@@ -161,11 +170,16 @@ def build_reduced(mixture, reference=None):
     ])
     quad = np.array([a_ref - prec[i] for i in free])
     lin = np.array([prec[i] @ mu[i] - a_ref_mu for i in free])
-    const = np.array([0.5 * (mu[ref] @ a_ref_mu - mu[i] @ prec[i] @ mu[i]) for i in free])
+    const = np.array([(mu[ref] @ a_ref_mu - mu[i] @ prec[i] @ mu[i]) / 2 for i in free])
     return ReducedSystem(
         mixture=mixture, reference=ref, free=free,
         log_betas=log_betas, quad=quad, lin=lin, const=const,
     )
+
+
+def fractions(values):
+    """A float array as an object array of the exact fractions it holds."""
+    return np.vectorize(Fraction, otypes=[object])(values)
 
 
 # -- adapters: the reduced system in y through `_LogSolver` ---------------------

@@ -33,8 +33,8 @@ from modecount.solver import (
 )
 
 from conftest import (
-    build_reduced, mean_shift_step, oracle_critical_points_1d, random_mixture_1d, random_spd, reduced_jacobian,
-    relative_derivatives, residual_and_jacobian_batch, residual_R, responsibilities, x_of_y,
+    build_reduced, fractions, mean_shift_step, oracle_critical_points_1d, random_mixture_1d, random_spd,
+    reduced_jacobian, relative_derivatives, residual_and_jacobian_batch, residual_R, responsibilities, x_of_y,
 )
 from test_acceptance import SWEEP_SEED
 
@@ -413,7 +413,10 @@ def test_step_matches_newton_matrix_solve(simplex_d5k6):
     # Both are solves of the same rounded system, so they differ in the
     # rounding of the solve, which the condition number of the Newton matrix
     # amplifies: the worst row of these cases differs by 1.7 eps cond(J)
-    # relative, so 16 eps cond(J) leaves a tenfold margin.
+    # relative, so 16 eps cond(J) leaves a tenfold margin.  With distinct
+    # precisions the residual is the oracle's, bit for bit; with a shared
+    # one it comes from the chart's Gram matrix, not from the component
+    # terms at X, and agrees with them to rounding of the largest term.
     rng = np.random.default_rng(48)
     cases = []
     for d in range(1, 7):
@@ -437,10 +440,73 @@ def test_step_matches_newton_matrix_solve(simplex_d5k6):
             u, charts = np.concatenate([u, more[0]]), np.concatenate([charts, more[1]])
         s, step = solver.residual_and_step_batch(u, charts)
         s_ref, jac = residual_and_jacobian_batch(solver, u, charts)
-        assert np.array_equal(s, s_ref)
+        if solver.shared_precision:
+            terms, _ = solver.component_terms(solver.x_batch(u)[0])
+            assert np.all(np.abs(s - s_ref) <= 16.0 * eps * (1.0 + np.abs(terms).max(axis=1))[:, None])
+        else:
+            assert np.array_equal(s, s_ref)
         want = np.linalg.solve(jac, -s[..., None])[..., 0]
         gap = np.linalg.norm(step - want, axis=1)
         assert np.all(gap <= 16.0 * eps * np.linalg.cond(jac) * np.linalg.norm(want, axis=1))
+
+
+def test_gram_residual_is_exact_far_from_the_origin():
+    # A shared-precision row's residual comes from its chart's Gram matrix
+    # of delta_j = mu_j - mu_c, which does not depend on where the origin
+    # is.  The reference is the reduced system's quadratics taken exactly
+    # (`build_reduced(rational=True)`) at the exact X(y) = sum_j w_j mu_j /
+    # sum_j w_j of the row's weights.  The residual stays at rounding of the
+    # row's largest component term on a rank-deficient d = 6 mixture whose
+    # means sit 1e3 from the origin, where the float quadratics are off by
+    # about 1e-10, and on the padded d1k6 witness, 470 standard deviations
+    # wide: rows near the means or the roots, and random starts.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(60)
+    d, r, k = 6, 3, 5
+    basis = np.linalg.qr(rng.standard_normal((d, r)))[0]
+    offset = rng.standard_normal(d)
+    means = 1e3 * offset / np.linalg.norm(offset) + 2.5 * rng.standard_normal((k, r)) @ basis.T
+    far = Mixture.from_arrays(rng.uniform(0.2, 1.0, k), means, shared_covariance=random_spd(rng, d, 0.2))
+    assert affine_rank(far.means) == r
+    d1k6 = padded_d1k6_mixture()
+    roots = np.array([p.location for p in find_critical_points(d1k6).points])
+    cases = [(far, means[rng.integers(0, k, 40)] + rng.standard_normal((40, d))),
+             (d1k6, np.concatenate([roots + 10.0 ** -e * rng.standard_normal(roots.shape) for e in (3, 9)]))]
+    for m, x in cases:
+        solver = _LogSolver(m)
+        assert solver.shared_precision
+        u, charts = solver.chart_coords(x)
+        more = random_starts(rng, m.n_components, 20.0, 40)
+        u, charts = np.concatenate([u, more[0]]), np.concatenate([charts, more[1]])
+        s = solver.residual_batch(u, charts)
+        terms, _ = solver.component_terms(solver.x_batch(u)[0])
+        bounds = 16.0 * eps * (1.0 + np.abs(terms).max(axis=1))
+        systems = [build_reduced(m, c, rational=True) for c in range(m.n_components)]
+        mu, weights = fractions(m.means), fractions(_softmax(u))
+        for i, c in enumerate(charts):
+            free = list(systems[c].free)
+            q = systems[c].q_values(weights[i] @ mu / weights[i].sum()).astype(float)
+            want = u[i, free] - u[i, c] - (systems[c].log_betas + q)
+            assert np.max(np.abs(s[i, free] - want)) <= bounds[i], (m.dim, i)
+
+
+def test_shared_precision_solve_does_not_depend_on_dim():
+    # Shared-precision Newton rows run on the k x k Gram matrices, which a
+    # lift's zero pad coordinates leave as they are: the lifted mixture
+    # runs the same starts to the same roots, padded with zeros, and each
+    # point gains two negative Hessian eigenvalues, so its index rises by 2.
+    rng = np.random.default_rng(64)
+    for d, k, n_critical in ((3, 4, 9), (3, 5, 15)):
+        base = Mixture.from_arrays(rng.uniform(0.2, 1.0, k), rng.uniform(-3.0, 3.0, (k, d)),
+                                   shared_covariance=random_spd(rng, d, 0.1))
+        lifted = lift(base, d + 2)
+        want, got = find_critical_points(base), find_critical_points(lifted)
+        assert want.n_critical == n_critical
+        assert (got.n_starts, got.n_converged) == (want.n_starts, want.n_converged)
+        assert got.counts_by_index == {i + 2: c for i, c in want.counts_by_index.items()}
+        padded = np.array([np.concatenate([p.location, np.zeros(2)]) for p in want.points])
+        locations = np.array([p.location for p in got.points])
+        assert np.all(np.abs(locations - padded) <= 1e-12 * (1.0 + np.abs(padded)))
 
 
 def test_shared_precision_path_matches_generic_solve(monkeypatch):
